@@ -182,6 +182,61 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // Two-column equi-join keys (the shape of TPC-H's partsupp ⋈ lineitem
+    // on partkey, suppkey): the executor packs both Int keys into one
+    // `u128` per row, vs a row-at-a-time join keyed by `Vec<Value>`.
+    let pairs = {
+        let rows: Vec<Vec<Value>> = (0..rel.len())
+            .step_by(4)
+            .map(|i| {
+                vec![
+                    rel.value(i, 0),
+                    rel.value(i, 1),
+                    Value::str(format!("p{}", i % 17)),
+                ]
+            })
+            .collect();
+        Relation::new(
+            vec![
+                ("k".to_string(), DataType::Int),
+                ("v".to_string(), DataType::Int),
+                ("tag".to_string(), DataType::Str),
+            ],
+            rows,
+        )
+    };
+    e.load_table("pairs", pairs.clone()).unwrap();
+    g.bench_function("hash_join_multikey_columnar", |b| {
+        b.iter(|| {
+            e.execute_sql(
+                "SELECT f.w, p.tag FROM fact f, pairs p WHERE f.k = p.k AND f.v = p.v",
+                &NoRemote,
+            )
+            .unwrap()
+        })
+    });
+    g.bench_function("hash_join_multikey_row_baseline", |b| {
+        b.iter(|| {
+            let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            for i in 0..pairs.len() {
+                let key = vec![pairs.value(i, 0), pairs.value(i, 1)];
+                if key.iter().all(|v| !v.is_null()) {
+                    table.entry(key).or_default().push(i);
+                }
+            }
+            let mut out: Vec<Vec<Value>> = Vec::new();
+            for i in 0..rel.len() {
+                let row = rel.row(i);
+                if let Some(matches) = table.get(&row[..2]) {
+                    for &m in matches {
+                        out.push(vec![row[2].clone(), pairs.value(m, 2)]);
+                    }
+                }
+            }
+            out
+        })
+    });
+
     g.bench_function("aggregate_columnar", |b| {
         b.iter(|| {
             e.execute_sql(

@@ -295,6 +295,7 @@ mod tests {
             "filter_columnar",
             "aggregate_columnar",
             "aggregate_multikey_columnar",
+            "hash_join_multikey_columnar",
             "wire_encode",
             "wire_decode",
             "wire_decode_chunked",

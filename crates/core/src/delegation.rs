@@ -76,17 +76,20 @@ pub struct ExecutionOutcome {
     pub ddl_count: usize,
 }
 
-/// Names for the short-lived relations of one deployed query.
+/// Names for the short-lived relations of one deployed query. The query id
+/// is rendered at the full width of a `u64` (20 digits), so DDL text — and
+/// with it every control message's byte count and simulated time — is the
+/// same whichever id the process-global counter handed out.
 pub(crate) fn view_name(query_id: u64, task: usize) -> String {
-    format!("xdb_q{query_id}_t{task}")
+    format!("xdb_q{query_id:020}_t{task}")
 }
 
 fn foreign_name(query_id: u64, from: usize, to: usize) -> String {
-    format!("xdb_q{query_id}_t{from}_t{to}_ft")
+    format!("xdb_q{query_id:020}_t{from}_t{to}_ft")
 }
 
 fn mat_name(query_id: u64, from: usize, to: usize) -> String {
-    format!("xdb_q{query_id}_t{from}_t{to}_mat")
+    format!("xdb_q{query_id:020}_t{from}_t{to}_mat")
 }
 
 /// Render the delegation plan into per-DBMS DDL statements (Algorithm 1).
@@ -914,7 +917,9 @@ mod tests {
             .count();
         assert_eq!(views, plan.tasks.len());
         assert_eq!(fts, plan.edges.len());
-        assert!(script.xdb_query.starts_with("SELECT * FROM xdb_q1_t"));
+        assert!(script
+            .xdb_query
+            .starts_with("SELECT * FROM xdb_q00000000000000000001_t"));
         // Cleanup drops every created object.
         assert_eq!(script.cleanup.len(), script.steps.len());
     }

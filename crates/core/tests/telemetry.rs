@@ -3,7 +3,6 @@
 //! cleanup restoring the live-object gauges, consultation-cache soundness
 //! under transient DDL, and the per-run metrics-snapshot delta.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::annotate::AnnotateOptions;
 use xdb_core::scenario::{self, ScenarioConfig};
@@ -11,12 +10,6 @@ use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_net::Movement;
 use xdb_obs::{json, Telemetry};
-
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts (the literal `xdb_q<id>_*`
-/// names travel in DDL statements). Tests that compare two submissions
-/// serialize on this lock so the pair gets adjacent ids.
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
@@ -49,42 +42,26 @@ fn normalize_query_ids(jsonl: &str) -> String {
 }
 
 /// One full submission with an isolated telemetry handle; returns the
-/// query id, the deterministic metrics rendering, and the normalized
-/// event JSONL.
-fn run_workload(parallel: bool, partitions: usize) -> (u64, String, String) {
+/// deterministic metrics rendering and the normalized event JSONL.
+fn run_workload(parallel: bool, partitions: usize) -> (String, String) {
     let (cluster, catalog, telemetry) = setup();
     cluster.set_exec_partitions(partitions);
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
         parallel_execution: parallel,
         ..Default::default()
     });
-    let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+    xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
     (
-        outcome.query_id,
         telemetry.metrics.deterministic_snapshot().render(),
         normalize_query_ids(&telemetry.events.to_jsonl()),
     )
 }
 
-/// Run two workloads back to back with same-width query ids (a decimal
-/// boundary like 9→10 can split a pair at most once, so one retry
-/// suffices) so every byte of telemetry is comparable.
-fn run_comparable_pair(a: (bool, usize), b: (bool, usize)) -> ((String, String), (String, String)) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, ma, ea) = run_workload(a.0, a.1);
-        let (idb, mb, eb) = run_workload(b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return ((ma, ea), (mb, eb));
-        }
-    }
-}
-
 #[test]
 fn telemetry_identical_sequential_vs_parallel() {
     for partitions in [1usize, 2, 8] {
-        let ((seq_metrics, seq_events), (par_metrics, par_events)) =
-            run_comparable_pair((false, partitions), (true, partitions));
+        let (seq_metrics, seq_events) = run_workload(false, partitions);
+        let (par_metrics, par_events) = run_workload(true, partitions);
         assert_eq!(
             seq_metrics, par_metrics,
             "metrics diverge at {partitions} partitions"
@@ -109,7 +86,6 @@ fn quarantine_audit_covers_every_metric_family() {
     // nothing else — and everything it keeps must be bit-identical between
     // the sequential and parallel executors.
     use xdb_obs::metrics::{CHUNKS_PREFIX, CODEC_PREFIX, SCHED_PREFIX};
-    let _guard = SUBMIT_LOCK.lock();
     let quarantined = |k: &&String| {
         k.starts_with(SCHED_PREFIX) || k.starts_with(CHUNKS_PREFIX) || k.starts_with(CODEC_PREFIX)
     };
@@ -119,46 +95,38 @@ fn quarantine_audit_covers_every_metric_family() {
             parallel_execution: parallel,
             ..Default::default()
         });
-        let out = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+        xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
         (
-            out.query_id,
             telemetry.metrics.snapshot(),
             telemetry.metrics.deterministic_snapshot(),
         )
     };
-    loop {
-        let (ida, full_seq, det_seq) = run(false);
-        let (idb, full_par, det_par) = run(true);
-        // Same-width query ids, like run_comparable_pair.
-        if ida.to_string().len() != idb.to_string().len() {
-            continue;
-        }
-        // The workload really exercises quarantined families — otherwise
-        // this audit would pass vacuously.
-        assert!(
-            full_par
-                .counters
-                .keys()
-                .any(|k| k.starts_with(SCHED_PREFIX)),
-            "workload emitted no sched.* series"
-        );
-        // No quarantined family leaks into the deterministic snapshot.
-        for snap in [&det_seq, &det_par] {
-            let leaked: Vec<&String> = snap.counters.keys().filter(quarantined).collect();
-            assert!(leaked.is_empty(), "quarantined series leaked: {leaked:?}");
-        }
-        // The deterministic snapshot is exactly the full snapshot minus
-        // the quarantined prefixes — no family is silently dropped.
-        for (full, det) in [(&full_seq, &det_seq), (&full_par, &det_par)] {
-            let expected: Vec<&String> = full.counters.keys().filter(|k| !quarantined(k)).collect();
-            let got: Vec<&String> = det.counters.keys().collect();
-            assert_eq!(expected, got);
-        }
-        // Every deterministic family survives the sequential-vs-parallel
-        // diff, value for value.
-        assert_eq!(det_seq.counters, det_par.counters);
-        break;
+    let (full_seq, det_seq) = run(false);
+    let (full_par, det_par) = run(true);
+    // The workload really exercises quarantined families — otherwise
+    // this audit would pass vacuously.
+    assert!(
+        full_par
+            .counters
+            .keys()
+            .any(|k| k.starts_with(SCHED_PREFIX)),
+        "workload emitted no sched.* series"
+    );
+    // No quarantined family leaks into the deterministic snapshot.
+    for snap in [&det_seq, &det_par] {
+        let leaked: Vec<&String> = snap.counters.keys().filter(quarantined).collect();
+        assert!(leaked.is_empty(), "quarantined series leaked: {leaked:?}");
     }
+    // The deterministic snapshot is exactly the full snapshot minus
+    // the quarantined prefixes — no family is silently dropped.
+    for (full, det) in [(&full_seq, &det_seq), (&full_par, &det_par)] {
+        let expected: Vec<&String> = full.counters.keys().filter(|k| !quarantined(k)).collect();
+        let got: Vec<&String> = det.counters.keys().collect();
+        assert_eq!(expected, got);
+    }
+    // Every deterministic family survives the sequential-vs-parallel
+    // diff, value for value.
+    assert_eq!(det_seq.counters, det_par.counters);
 }
 
 #[test]
@@ -173,14 +141,14 @@ fn telemetry_independent_of_partition_count() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let ((m1, e1), (m8, e8)) = run_comparable_pair((true, 1), (true, 8));
+    let (m1, e1) = run_workload(true, 1);
+    let (m8, e8) = run_workload(true, 8);
     assert_eq!(strip_partitions(&m1), strip_partitions(&m8));
     assert_eq!(e1, e8);
 }
 
 #[test]
 fn events_are_valid_query_correlated_json_lines() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
@@ -203,7 +171,6 @@ fn events_are_valid_query_correlated_json_lines() {
 
 #[test]
 fn cleanup_returns_objects_live_gauge_to_baseline() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     let nodes = cluster.node_names();
     let baseline: Vec<f64> = nodes
@@ -259,7 +226,6 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
 
 #[test]
 fn transient_ddl_keeps_consultation_cache_valid() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     for t in catalog.table_names() {
         catalog.consult(&cluster, &t).unwrap();
@@ -299,7 +265,6 @@ fn transient_ddl_keeps_consultation_cache_valid() {
 
 #[test]
 fn metrics_snapshot_diff_isolates_one_run() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     // First run pays the consultation misses.
     let xdb = Xdb::new(&cluster, &catalog);

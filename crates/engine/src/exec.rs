@@ -19,14 +19,15 @@ use crate::error::{EngineError, Result};
 use crate::expr::{compile, PhysExpr};
 use crate::relation::Relation;
 use crate::vector;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{aggregate_schema, AggCall, AggFunc, LogicalPlan, PlanSchema};
 use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
+use xdb_sql::hash::{FastMap, FastSet, Fnv};
 use xdb_sql::value::{DataType, Value};
 
 /// Per-operator work-unit weights (rows processed × weight). Values are
@@ -43,6 +44,11 @@ pub mod weights {
 
 /// Chain terminator in the chained hash tables below.
 const NO_NEXT: u32 = u32::MAX;
+
+/// Partition router of the partition-parallel kernels. Routing only picks
+/// which worker owns a key, so every output is bit-identical for any
+/// hasher; a non-keyed one is cheaper and splits the same way every run.
+type Router = BuildHasherDefault<Fnv>;
 
 /// Below this many probe/build rows a join (or aggregate input) is not
 /// worth fanning out to partition workers.
@@ -140,10 +146,11 @@ pub trait ScanResolver {
 /// through one engine stop re-growing the same tables from scratch.
 #[derive(Default)]
 pub struct Scratch {
-    int_heads: HashMap<i64, u32>,
-    date_heads: HashMap<i32, u32>,
-    str_heads: HashMap<Arc<str>, u32>,
-    gen_heads: HashMap<Vec<Value>, u32>,
+    int_heads: FastMap<i64, u32>,
+    date_heads: FastMap<i32, u32>,
+    str_heads: FastMap<Arc<str>, u32>,
+    pair_heads: FastMap<u128, u32>,
+    gen_heads: FastMap<Vec<Value>, u32>,
     next: Vec<u32>,
 }
 
@@ -383,8 +390,8 @@ impl<'a> Execution<'a> {
                 let r = rel.as_ref();
                 // First-seen order is preserved (LIMIT without ORDER BY
                 // above a DISTINCT observes it).
-                let mut seen: std::collections::HashSet<Vec<Value>> =
-                    std::collections::HashSet::with_capacity(r.len());
+                let mut seen: FastSet<Vec<Value>> =
+                    FastSet::with_capacity_and_hasher(r.len(), Default::default());
                 let mut sel: Vec<u32> = Vec::new();
                 for i in 0..r.len() {
                     if seen.insert(r.row(i)) {
@@ -745,6 +752,14 @@ impl<'a> Execution<'a> {
                             build_chain(&typed_keys(b), &mut scratch.str_heads, &mut scratch.next);
                             ProbeChainKind::Str
                         }
+                        _ if pair_key(&bcols, &pcols) => {
+                            build_chain(
+                                &pair_keys(&bcols, rrel.len()),
+                                &mut scratch.pair_heads,
+                                &mut scratch.next,
+                            );
+                            ProbeChainKind::Pair
+                        }
                         _ => {
                             build_chain(
                                 &generic_keys(&bcols, rrel.len()),
@@ -780,6 +795,13 @@ impl<'a> Execution<'a> {
                         &mut lsel,
                         &mut rsel,
                     ),
+                    (ProbeChainKind::Pair, _) if pair_key(&bcols, &pcols) => probe_chain(
+                        pair_keys(&pcols, n).into_iter(),
+                        &scratch.pair_heads,
+                        &scratch.next,
+                        &mut lsel,
+                        &mut rsel,
+                    ),
                     (ProbeChainKind::Gen, _) => probe_chain(
                         generic_keys(&pcols, n).into_iter(),
                         &scratch.gen_heads,
@@ -788,7 +810,8 @@ impl<'a> Execution<'a> {
                         &mut rsel,
                     ),
                     // Bare columns off a stream decoder keep one layout for
-                    // the whole edge, so the typed arms cannot drift.
+                    // the whole edge, so the typed and packed arms cannot
+                    // drift.
                     _ => {
                         return Err(EngineError::Execution(
                             "streamed probe key layout drifted between morsels".into(),
@@ -1096,13 +1119,15 @@ impl<'a> Execution<'a> {
                 int_heads,
                 date_heads,
                 str_heads,
+                pair_heads,
                 gen_heads,
                 next,
             } = &mut self.scratch;
             let parts = self.partitions;
-            // Typed single-key fast path when both sides share the layout;
-            // otherwise generic Value keys (which also give Int↔Float keys
-            // the cross-type equality the row-major executor had).
+            // Typed single-key and packed two-key fast paths when both
+            // sides share the layout; otherwise generic Value keys (which
+            // also give Int↔Float keys the cross-type equality the
+            // row-major executor had).
             (rsel, lsel) = match single_key(&bcols, &pcols) {
                 Some((Column::Int(b), Column::Int(p))) => {
                     join_pairs(&typed_keys(b), &typed_keys(p), parts, int_heads, next)
@@ -1113,6 +1138,13 @@ impl<'a> Execution<'a> {
                 Some((Column::Str(b), Column::Str(p))) => {
                     join_pairs(&typed_keys(b), &typed_keys(p), parts, str_heads, next)
                 }
+                _ if pair_key(&bcols, &pcols) => join_pairs(
+                    &pair_keys(&bcols, rrel.len()),
+                    &pair_keys(&pcols, lrel.len()),
+                    parts,
+                    pair_heads,
+                    next,
+                ),
                 _ => join_pairs(
                     &generic_keys(&bcols, rrel.len()),
                     &generic_keys(&pcols, lrel.len()),
@@ -1215,6 +1247,7 @@ impl<'a> Execution<'a> {
             int_heads,
             date_heads,
             str_heads,
+            pair_heads,
             gen_heads,
             next,
         } = &mut self.scratch;
@@ -1237,6 +1270,13 @@ impl<'a> Execution<'a> {
                 &typed_keys(b),
                 &typed_keys(p),
                 str_heads,
+                next,
+                residual_dyn,
+            )?,
+            _ if pair_key(&bcols, &pcols) => semi_matches(
+                &pair_keys(&bcols, rrel.len()),
+                &pair_keys(&pcols, lrel.len()),
+                pair_heads,
                 next,
                 residual_dyn,
             )?,
@@ -1365,8 +1405,8 @@ impl<'a> Execution<'a> {
             // the row sequence the sequential pass would feed it, so float
             // accumulation order (and therefore every bit of the output) is
             // independent of the partition count.
-            let run_partition = |p: usize, nparts: usize, rs: &RandomState| -> Vec<GroupOut> {
-                let mut index: HashMap<&[Value], usize> = HashMap::new();
+            let run_partition = |p: usize, nparts: usize, rs: &Router| -> Vec<GroupOut> {
+                let mut index: FastMap<&[Value], usize> = FastMap::default();
                 let mut out: Vec<GroupOut> = Vec::new();
                 for (i, key) in keys.iter().enumerate() {
                     if nparts > 1 && rs.hash_one(&key[..]) as usize % nparts != p {
@@ -1392,7 +1432,7 @@ impl<'a> Execution<'a> {
                 out
             };
             if parallel {
-                let rs = RandomState::new();
+                let rs = Router::default();
                 let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
                     let rs = &rs;
                     let run_partition = &run_partition;
@@ -1410,7 +1450,7 @@ impl<'a> Execution<'a> {
                 all.sort_unstable_by_key(|g| g.first_row);
                 all
             } else {
-                run_partition(0, 1, &RandomState::new())
+                run_partition(0, 1, &Router::default())
             }
         };
         // Global aggregate over empty input still yields one row.
@@ -1556,9 +1596,9 @@ enum GroupIndex {
     Global,
     /// Key column layout not yet seen.
     Unset,
-    Int(HashMap<Option<i64>, usize>),
-    Str(HashMap<Option<Arc<str>>, usize>),
-    Gen(HashMap<Vec<Value>, usize>),
+    Int(FastMap<Option<i64>, usize>),
+    Str(FastMap<Option<Arc<str>>, usize>),
+    Gen(FastMap<Vec<Value>, usize>),
 }
 
 /// Streaming group-by state: groups stay in first-seen order across
@@ -1588,7 +1628,7 @@ impl StreamGrouper {
     /// materialize different layouts per chunk). Group identity is
     /// value-based, so existing groups carry over unchanged.
     fn degrade_to_gen(&mut self) {
-        let mut map = HashMap::new();
+        let mut map = FastMap::default();
         for (gi, g) in self.groups.iter().enumerate() {
             map.insert(g.key.clone(), gi);
         }
@@ -1607,9 +1647,9 @@ impl StreamGrouper {
     ) {
         if let GroupIndex::Unset = self.index {
             self.index = match key_col {
-                Some(Column::Int(_)) => GroupIndex::Int(HashMap::new()),
-                Some(Column::Str(_)) => GroupIndex::Str(HashMap::new()),
-                _ => GroupIndex::Gen(HashMap::new()),
+                Some(Column::Int(_)) => GroupIndex::Int(FastMap::default()),
+                Some(Column::Str(_)) => GroupIndex::Str(FastMap::default()),
+                _ => GroupIndex::Gen(FastMap::default()),
             };
         }
         let drift = !matches!(
@@ -1714,9 +1754,9 @@ fn group_single_typed<K: Hash + Eq>(
     key_at: &(impl Fn(usize) -> K + Sync),
     key_value: &(impl Fn(&K) -> Value + Sync),
 ) -> Vec<GroupOut> {
-    let rs = RandomState::new();
+    let rs = Router::default();
     let run = |p: usize| -> Vec<GroupOut> {
-        let mut index: HashMap<K, usize> = HashMap::new();
+        let mut index: FastMap<K, usize> = FastMap::default();
         let mut out: Vec<GroupOut> = Vec::new();
         for i in 0..n {
             let key = key_at(i);
@@ -1831,7 +1871,7 @@ fn pack_group_keys(key_cols: &[Column], n: usize) -> Option<Vec<u128>> {
                 ));
             }
             Column::Str(c) => {
-                let mut dict: HashMap<&str, u128> = HashMap::new();
+                let mut dict: FastMap<&str, u128> = FastMap::default();
                 for i in 0..n {
                     if let Some(s) = c.get(i) {
                         let next = dict.len() as u128 + 1;
@@ -1874,9 +1914,9 @@ fn group_multi_packed(
     new_accs: &(impl Fn() -> Vec<Accumulator> + Sync),
     packed: &[u128],
 ) -> Vec<GroupOut> {
-    let rs = RandomState::new();
+    let rs = Router::default();
     let run = |p: usize| -> Vec<GroupOut> {
-        let mut index: HashMap<u128, usize> = HashMap::new();
+        let mut index: FastMap<u128, usize> = FastMap::default();
         let mut out: Vec<GroupOut> = Vec::new();
         for (i, &key) in packed.iter().enumerate().take(n) {
             if nparts > 1 && rs.hash_one(key) as usize % nparts != p {
@@ -2014,6 +2054,40 @@ fn typed_keys<T: Clone + Default>(c: &TypedCol<T>) -> Vec<Option<T>> {
     (0..c.len()).map(|i| c.get(i).cloned()).collect()
 }
 
+/// The packed two-key fast path applies when both sides have exactly two
+/// key columns and each position stores Int on both sides or Date on both
+/// sides: every such pair of values packs exactly into one `u128`, so
+/// packed equality is value equality. Other shapes (cross-type numeric
+/// keys, Str, wider keys) keep the generic `Value` path.
+fn pair_key(b: &[Column], p: &[Column]) -> bool {
+    b.len() == 2
+        && p.len() == 2
+        && b.iter().zip(p).all(|kinds| {
+            matches!(
+                kinds,
+                (Column::Int(_), Column::Int(_)) | (Column::Date(_), Column::Date(_))
+            )
+        })
+}
+
+/// Per-row two-column keys packed exactly into one `u128`: the first
+/// column's value in the high 64 bits, the second's in the low 64 bits.
+/// `None` marks a row with a NULL component (never matches). Only called
+/// on Int/Date columns ([`pair_key`]).
+fn pair_keys(cols: &[Column], n: usize) -> Vec<Option<u128>> {
+    let half = |c: &Column, i: usize| -> Option<u64> {
+        match c {
+            Column::Int(c) => c.get(i).map(|&v| v as u64),
+            Column::Date(c) => c.get(i).map(|&v| i64::from(v) as u64),
+            _ => unreachable!("pair keys are Int or Date columns"),
+        }
+    };
+    let (hi, lo) = (&cols[0], &cols[1]);
+    (0..n)
+        .map(|i| Some((u128::from(half(hi, i)?) << 64) | u128::from(half(lo, i)?)))
+        .collect()
+}
+
 /// Per-row composite keys as `Value` tuples; any NULL component kills the
 /// whole key.
 fn generic_keys(cols: &[Column], n: usize) -> Vec<Option<Vec<Value>>> {
@@ -2054,6 +2128,7 @@ enum ProbeChainKind {
     Int,
     Date,
     Str,
+    Pair,
     Gen,
 }
 
@@ -2062,7 +2137,7 @@ enum ProbeChainKind {
 /// build rows ascending within a probe row.
 fn probe_chain<K: Hash + Eq>(
     keys: impl Iterator<Item = Option<K>>,
-    heads: &HashMap<K, u32>,
+    heads: &FastMap<K, u32>,
     next: &[u32],
     lsel: &mut Vec<u32>,
     rsel: &mut Vec<u32>,
@@ -2088,7 +2163,7 @@ fn probe_chain<K: Hash + Eq>(
 /// match order of the row-major executor.
 fn build_chain<K: Hash + Eq + Clone>(
     build_keys: &[Option<K>],
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
 ) {
     heads.clear();
@@ -2115,7 +2190,7 @@ fn join_pairs<K: Hash + Eq + Clone + Sync>(
     build_keys: &[Option<K>],
     probe_keys: &[Option<K>],
     partitions: usize,
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
 ) -> (Vec<u32>, Vec<u32>) {
     if partitions > 1 && (probe_keys.len() >= PAR_MIN_ROWS || build_keys.len() >= PAR_MIN_ROWS) {
@@ -2150,14 +2225,14 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
     probe_keys: &[Option<K>],
     partitions: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let rs = RandomState::new();
+    let rs = Router::default();
     let nparts = partitions;
-    let parts: Vec<HashMap<&K, Vec<u32>>> = std::thread::scope(|s| {
+    let parts: Vec<FastMap<&K, Vec<u32>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nparts)
             .map(|p| {
                 let rs = &rs;
                 s.spawn(move || {
-                    let mut m: HashMap<&K, Vec<u32>> = HashMap::new();
+                    let mut m: FastMap<&K, Vec<u32>> = FastMap::default();
                     for (i, k) in build_keys.iter().enumerate() {
                         let Some(k) = k else { continue };
                         if rs.hash_one(k) as usize % nparts == p {
@@ -2221,7 +2296,7 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
 fn semi_matches<K: Hash + Eq + Clone>(
     build_keys: &[Option<K>],
     probe_keys: &[Option<K>],
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
     mut residual: Option<&mut dyn FnMut(usize, usize) -> Result<bool>>,
 ) -> Result<Vec<bool>> {
@@ -2261,17 +2336,17 @@ enum Accumulator {
         float: f64,
         any_float: bool,
         seen: bool,
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Count {
         n: i64,
         /// `None` arg = count(*).
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Avg {
         sum: f64,
         n: i64,
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -2279,7 +2354,7 @@ enum Accumulator {
 
 impl Accumulator {
     fn new(func: AggFunc, distinct: bool) -> Accumulator {
-        let set = || distinct.then(std::collections::HashSet::new);
+        let set = || distinct.then(FastSet::default);
         match func {
             AggFunc::Sum => Accumulator::Sum {
                 int: 0,

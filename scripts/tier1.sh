@@ -4,8 +4,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
-cargo build --release
-cargo test -q
+cargo build --release --workspace
+cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON

@@ -188,7 +188,7 @@ fn failed_delegation_cleans_up() {
     // Other tests in this binary also draw from the process-global id
     // counter, so squat a whole range of upcoming ids.
     let squatters: Vec<String> = (1..=8)
-        .map(|d| observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + d)))
+        .map(|d| observed.replace(&format!("_q{qid:020}_"), &format!("_q{:020}_", qid + d)))
         .collect();
     for name in &squatters {
         cluster
