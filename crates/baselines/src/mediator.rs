@@ -182,7 +182,6 @@ impl<'a> Mediator<'a> {
         }
         let bound = bind_select(&select, self.catalog)?;
         let optimized = optimize(bound, self.catalog, OptimizeOptions::default());
-        self.catalog.clear_placeholders();
         let annotation = Annotator::new(
             self.catalog,
             self.cluster,

@@ -84,7 +84,6 @@ impl<'a> Sclera<'a> {
                 ..Default::default()
             },
         );
-        self.catalog.clear_placeholders();
         let annotation = Annotator::new(
             self.catalog,
             self.cluster,

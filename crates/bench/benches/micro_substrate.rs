@@ -53,7 +53,6 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("annotate_q8_td3", |b| {
         b.iter(|| {
-            catalog.clear_placeholders();
             Annotator::new(&catalog, &cluster, AnnotateOptions::default())
                 .run(&optimized)
                 .unwrap()
@@ -119,7 +118,6 @@ fn bench(c: &mut Criterion) {
     for (label, no_cache) in [("cache_on_q8", false), ("cache_off_q8", true)] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                catalog.clear_placeholders();
                 Annotator::new(
                     &catalog,
                     &cluster,

@@ -18,8 +18,7 @@
 //! Every number is taken off the simulated clock, so the whole report is
 //! deterministic across invocations and rides the monitor regression-gate
 //! baseline (`BENCH_monitor.json`, see [`crate::gate`]) as `tenants/...`
-//! series. Latency series deliberately exclude control-message byte
-//! counts, which depend on the decimal width of process-global query ids.
+//! series.
 
 use crate::experiments::{env, CLOUD};
 use std::collections::BTreeMap;
@@ -346,109 +345,5 @@ mod tests {
         assert_eq!(a.folded.digest(), b.folded.digest());
         let gate = crate::gate::compare("tenants", &a.flat_values(), &b.flat_values(), 0.5);
         assert!(gate.passed(), "{}", gate.render());
-    }
-
-    fn same_width(ids: &[u64]) -> bool {
-        let w = ids[0].to_string().len();
-        ids.iter().all(|i| i.to_string().len() == w)
-    }
-
-    /// Replace every decimal run after `xdb_q` / `"query":` with `N` so
-    /// runs with different global query ids compare equal.
-    fn normalize_ids(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        let bytes = s.as_bytes();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            out.push(bytes[i] as char);
-            let here = &s[..=i];
-            if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-                let mut j = i + 1;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j > i + 1 {
-                    out.push('N');
-                    i = j;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// (query ids, per-admission observables, deterministic snapshot,
-    /// makespan) for one admission run over `subs`.
-    fn admit(
-        subs: &[Submission],
-        window: usize,
-        threads: Option<usize>,
-    ) -> (Vec<u64>, Vec<String>, String, f64) {
-        let mut e = env(
-            TableDist::Td1,
-            TEST_SF,
-            Scenario::OnPremise,
-            &ProfileAssignment::uniform(EngineProfile::postgres()),
-        )
-        .unwrap();
-        let telemetry = Telemetry::new_handle();
-        e.catalog.set_telemetry(Arc::clone(&telemetry));
-        e.cluster.set_telemetry(Arc::clone(&telemetry));
-        let server = QueryServer::new(
-            &e.cluster,
-            &e.catalog,
-            SessionOptions {
-                xdb: XdbOptions::default(),
-                fold: true,
-                window,
-            },
-        )
-        .with_client_node(CLOUD);
-        let report = match threads {
-            Some(k) => server.run_concurrent(subs, k),
-            None => server.run(subs),
-        }
-        .unwrap();
-        let ids = report.outcomes.iter().map(|o| o.query_id).collect();
-        let fps = report
-            .outcomes
-            .iter()
-            .map(|o| format!("{} {:?}", digest_line(o), o.breakdown))
-            .collect();
-        let snap = telemetry.metrics.deterministic_snapshot().render();
-        (ids, fps, snap, report.makespan_ms)
-    }
-
-    #[test]
-    fn concurrent_admission_is_deterministic_at_1_8_64_tenants() {
-        // Satellite of ISSUE 6: the interleaved TD1 mix must produce a
-        // bit-identical deterministic_snapshot() whether the submissions
-        // arrive concurrently or sequentially, at 1, 8, and 64 tenants.
-        // Query-id decimal widths leak into control-message byte counts,
-        // so retry until both runs drew same-width ids.
-        for &n in &[1usize, 8, 64] {
-            let subs = submissions(n, 1);
-            let mut done = false;
-            for _ in 0..12 {
-                let seq = admit(&subs, n, None);
-                let conc = admit(&subs, n, Some(4));
-                let mut ids = seq.0.clone();
-                ids.extend(&conc.0);
-                if !same_width(&ids) {
-                    continue;
-                }
-                assert_eq!(seq.1, conc.1, "observables diverged at {n} tenants");
-                assert_eq!(
-                    normalize_ids(&seq.2),
-                    normalize_ids(&conc.2),
-                    "snapshots diverged at {n} tenants"
-                );
-                assert_eq!(seq.3, conc.3, "makespans diverged at {n} tenants");
-                done = true;
-                break;
-            }
-            assert!(done, "query-id widths never aligned at {n} tenants");
-        }
     }
 }

@@ -22,7 +22,7 @@ use xdb_net::{Movement, NodeId};
 use xdb_sql::algebra::{plan_to_select, LogicalPlan, PlanSchema};
 use xdb_sql::ast::Expr;
 use xdb_sql::display::render_select_string;
-use xdb_sql::stats::Estimator;
+use xdb_sql::stats::{ColumnStats, Estimator, StatsProvider};
 use xdb_sql::value::DataType;
 use xdb_sql::Dialect;
 
@@ -285,10 +285,6 @@ impl<'a> Annotator<'a> {
         })
     }
 
-    fn est(&self) -> Estimator<'_> {
-        Estimator::new(self.catalog)
-    }
-
     fn annotate(&mut self, plan: &LogicalPlan) -> Result<Partial> {
         match plan {
             // Rule 1: leaves are annotated with their home DBMS.
@@ -512,20 +508,17 @@ impl<'a> Annotator<'a> {
 
                 // Cross-database operator: pick its annotation + movement
                 // according to the configured policy.
+                let stats = TaskStats::new(self.catalog, &self.tasks);
+                let est = Estimator::new(&stats);
+                let side = |p: &Partial| InputSide {
+                    dbms: p.dbms.clone(),
+                    rows: est.rows(&p.fragment),
+                    bytes: est.bytes(&p.fragment),
+                };
+                let (l_side, r_side) = (side(&l), side(&r));
                 let placement = match &self.options.placement {
                     // Rule 4: cost-based placement + movement decision.
                     PlacementPolicy::CostBased => {
-                        let est = Estimator::new(self.catalog);
-                        let l_side = InputSide {
-                            dbms: l.dbms.clone(),
-                            rows: est.rows(&l.fragment),
-                            bytes: est.bytes(&l.fragment),
-                        };
-                        let r_side = InputSide {
-                            dbms: r.dbms.clone(),
-                            rows: est.rows(&r.fragment),
-                            bytes: est.bytes(&r.fragment),
-                        };
                         let probe = LogicalPlan::Join {
                             left: Box::new(l.fragment.clone()),
                             right: Box::new(r.fragment.clone()),
@@ -629,8 +622,8 @@ impl<'a> Annotator<'a> {
                             chosen: placement.clone(),
                             candidates: costed,
                             paid_consults: self.consults - paid_before,
-                            left: l_side.clone(),
-                            right: r_side.clone(),
+                            left: l_side,
+                            right: r_side,
                             out_rows,
                         });
                         placement
@@ -638,7 +631,6 @@ impl<'a> Annotator<'a> {
                     // ScleraDB-style heuristic: the left input's home
                     // wins; the moved side is materialized.
                     PlacementPolicy::LeftInput => {
-                        let est = Estimator::new(self.catalog);
                         let p = Placement {
                             dbms: l.dbms.clone(),
                             left_move: Movement::Implicit,
@@ -650,16 +642,8 @@ impl<'a> Annotator<'a> {
                             chosen: p.clone(),
                             candidates: Vec::new(),
                             paid_consults: 0,
-                            left: InputSide {
-                                dbms: l.dbms.clone(),
-                                rows: est.rows(&l.fragment),
-                                bytes: est.bytes(&l.fragment),
-                            },
-                            right: InputSide {
-                                dbms: r.dbms.clone(),
-                                rows: est.rows(&r.fragment),
-                                bytes: est.bytes(&r.fragment),
-                            },
+                            left: l_side,
+                            right: r_side,
                             out_rows: 0.0,
                         });
                         p
@@ -667,7 +651,6 @@ impl<'a> Annotator<'a> {
                     // Mediator decomposition: every cross-database
                     // operator runs at the mediator; inputs are fetched.
                     PlacementPolicy::Mediator(node) => {
-                        let est = Estimator::new(self.catalog);
                         let p = Placement {
                             dbms: node.clone(),
                             left_move: Movement::Implicit,
@@ -679,16 +662,8 @@ impl<'a> Annotator<'a> {
                             chosen: p.clone(),
                             candidates: Vec::new(),
                             paid_consults: 0,
-                            left: InputSide {
-                                dbms: l.dbms.clone(),
-                                rows: est.rows(&l.fragment),
-                                bytes: est.bytes(&l.fragment),
-                            },
-                            right: InputSide {
-                                dbms: r.dbms.clone(),
-                                rows: est.rows(&r.fragment),
-                                bytes: est.bytes(&r.fragment),
-                            },
+                            left: l_side,
+                            right: r_side,
                             out_rows: 0.0,
                         });
                         p
@@ -785,9 +760,7 @@ impl<'a> Annotator<'a> {
             .iter()
             .map(|f| (f.name.clone(), f.data_type))
             .collect();
-        let est_rows = self.est().rows(&task_plan);
-        self.catalog
-            .register_placeholder(&placeholder_name(id), est_rows);
+        let est_rows = Estimator::new(&TaskStats::new(self.catalog, &self.tasks)).rows(&task_plan);
         self.tasks.push(Task {
             id,
             dbms: partial.dbms,
@@ -847,7 +820,7 @@ impl<'a> Annotator<'a> {
         } else {
             (partial.fragment, schema)
         };
-        let est_rows = self.est().rows(&plan);
+        let est_rows = Estimator::new(&TaskStats::new(self.catalog, &self.tasks)).rows(&plan);
         self.tasks.push(Task {
             id,
             dbms: partial.dbms,
@@ -882,6 +855,35 @@ impl<'a> Annotator<'a> {
         }
         edges.sort_by_key(|e| (e.to, e.from));
         edges
+    }
+}
+
+/// The statistics one annotation run estimates with: the catalog's
+/// consulted statistics, plus the estimated cardinality of every task the
+/// run has cut so far under its placeholder name (`__task_<id>`). The
+/// task estimates belong to the run, so concurrent annotations over one
+/// catalog never see each other's placeholders.
+struct TaskStats<'s> {
+    catalog: &'s GlobalCatalog,
+    tasks: &'s [Task],
+}
+
+impl<'s> TaskStats<'s> {
+    fn new(catalog: &'s GlobalCatalog, tasks: &'s [Task]) -> TaskStats<'s> {
+        TaskStats { catalog, tasks }
+    }
+}
+
+impl StatsProvider for TaskStats<'_> {
+    fn table_rows(&self, relation: &str) -> Option<f64> {
+        match parse_placeholder(&relation.to_ascii_lowercase()) {
+            Some(id) => self.tasks.get(id).map(|t| t.est_rows),
+            None => self.catalog.table_rows(relation),
+        }
+    }
+
+    fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
+        self.catalog.column_stats(relation, column)
     }
 }
 
@@ -1090,10 +1092,18 @@ mod tests {
         let ann = Annotator::new(&g, &c, AnnotateOptions::default())
             .run(&plan)
             .unwrap();
+        // Each placeholder resolves to its producing task's estimate
+        // through the run's own stats view; the shared catalog never
+        // learns about them.
+        let stats = TaskStats::new(&g, &ann.plan.tasks);
         for e in &ann.plan.edges {
             let name = placeholder_name(e.from);
-            use xdb_sql::stats::StatsProvider;
-            assert!(g.table_rows(&name).is_some(), "{name} unregistered");
+            assert_eq!(
+                stats.table_rows(&name),
+                Some(ann.plan.task(e.from).est_rows),
+                "{name} unresolved"
+            );
+            assert_eq!(g.table_rows(&name), None, "{name} leaked into the catalog");
         }
     }
 

@@ -10,18 +10,33 @@
 //! (parsing + metadata consultation), `lopt` (logical optimization), `ann`
 //! (annotation + finalization consulting), `exec` (delegation DDLs +
 //! decentralized execution).
+//!
+//! Submission is three stages over one per-query context (`QueryCtx`):
+//! *plan* (`plan_internal`), *execute* (`Xdb::execute`: control charging,
+//! deployment, the final XDB query, the final-result transfer, cleanup) and
+//! *record* (`Xdb::record`: trace, breakdown, cost observation, profile
+//! feedback, telemetry, history). The session layer composes the same
+//! execute and record stages for folded admissions. Every ledger record a
+//! query causes lands in its own scope ([`ScopedCluster`]), absorbed into
+//! the cluster ledger once when the query finishes or fails, so concurrent
+//! submissions never see each other's traffic.
 
-use crate::annotate::{plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator};
+use crate::annotate::{
+    plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator, PlacementDecision,
+};
 use crate::delegation::{
-    build_script, run_cleanup, run_script, run_script_parallel, DelegationScript,
+    build_script, charge_control, deploy, finish_script, run_cleanup, DelegationScript,
 };
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xdb_engine::cluster::Cluster;
+use xdb_engine::cluster::{Cluster, ScopedCluster};
+use xdb_engine::engine::ExecReport;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
-use xdb_net::{params, wire, NodeId, Purpose};
+use xdb_net::{params, wire, Ledger, NodeId, Purpose, Transfer};
 use xdb_obs::history::EdgeObs;
 use xdb_obs::{
     critical_path, CriticalPath, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector,
@@ -101,6 +116,10 @@ pub struct QueryOutcome {
     /// the observed wire edges and statement work of this run. Purely
     /// derived — empty when the plan had no cross-database decisions.
     pub cost: xdb_obs::CostObservation,
+    /// Every ledger record this query caused, in recording order: control
+    /// messages, deployment data, the final query's pulls, and the final
+    /// result. Exactly this query's own — never another submission's.
+    pub transfers: Vec<Transfer>,
 }
 
 impl QueryOutcome {
@@ -265,10 +284,6 @@ impl<'a> Xdb<'a> {
         self.cluster
     }
 
-    pub(crate) fn client_node(&self) -> &NodeId {
-        &self.client_node
-    }
-
     /// Plan a query without executing it: returns the delegation plan, the
     /// DDL script, and the would-be breakdown of the optimization phases.
     pub fn plan(
@@ -276,10 +291,10 @@ impl<'a> Xdb<'a> {
         sql: &str,
     ) -> Result<(DelegationPlan, DelegationScript, PhaseBreakdown, u64)> {
         let planned = self.plan_internal(sql)?;
-        let trace = planned.collector.finish();
+        let trace = planned.ctx.collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         Ok((
-            planned.delegation,
+            planned.ctx.delegation,
             planned.script,
             breakdown,
             planned.consults,
@@ -383,7 +398,6 @@ impl<'a> Xdb<'a> {
         collector.attr(lopt_span, "plan_nodes", format!("{node_count:.0}"));
 
         // ann (+ finalization).
-        self.catalog.clear_placeholders();
         let mut aopts = self.options.annotate.clone();
         if !self.options.learned_costs {
             aopts.static_costs = true;
@@ -487,15 +501,17 @@ impl<'a> Xdb<'a> {
             ],
         );
         Ok(Planned {
+            ctx: QueryCtx {
+                delegation: annotation.plan,
+                decisions: annotation.decisions,
+                collector,
+                query_span,
+                overhead_ms,
+                query_id,
+            },
             fragment_keys: annotation.fragment_keys,
-            decisions: annotation.decisions,
-            delegation: annotation.plan,
             script,
-            collector,
-            query_span,
-            overhead_ms,
             consults: annotation.consults,
-            query_id,
             prep_probes: prep_hits + prep_fetches,
             ann_probes: annotation.cache_hits + annotation.cache_misses,
             lopt_ms,
@@ -528,71 +544,94 @@ impl<'a> Xdb<'a> {
         Ok(out)
     }
 
-    /// Full pipeline: plan, delegate, execute, clean up.
+    /// Full pipeline: plan, delegate, execute, clean up, record.
     pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
-        let planned = self.plan_internal(sql)?;
         let Planned {
-            delegation,
+            ctx,
             script,
-            collector,
-            query_span,
-            overhead_ms,
             consults,
-            query_id,
-            decisions,
             ..
-        } = planned;
-        let telemetry = self.cluster.telemetry();
-        // Wire-codec dictionary reuse is scoped to one query: edges that
-        // stream the same relation within this submission share encode
-        // state, but nothing leaks across submissions.
-        self.cluster.clear_codec_cache();
-        // Transfer spans are derived from the ledger records this query
-        // appends; remember where the ledger stood before we touch it.
-        let ledger_mark = self.cluster.ledger.len();
-        // Control traffic: consulting probes and DDL statements are small
-        // messages from the middleware to the DBMS nodes (Fig 14's
-        // "lightweight control messages").
-        for step in &script.steps {
-            self.cluster.ledger.record(
-                &self.client_node,
-                &step.node,
-                step.sql.len() as u64,
-                0,
-                Purpose::ControlMessage,
-            );
-        }
-        let exec_span = collector.span(
-            SpanKind::Phase,
-            "exec",
-            "client",
-            Some(query_span),
-            overhead_ms,
-            0.0,
-        );
-        let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
+        } = self.plan_internal(sql)?;
+        let exec = self.execute(
+            &ctx,
+            &Deploy {
+                script: &script,
+                solo: &script,
+                owners: HashMap::new(),
+                keep_objects: self.options.keep_objects,
+            },
+        )?;
+        let query_id = ctx.query_id;
+        let rec = self.record(sql, ctx, &exec.transfers, exec.relation.len());
+        Ok(QueryOutcome {
+            relation: exec.relation,
+            delegation: rec.delegation,
+            breakdown: rec.breakdown,
+            consult_roundtrips: consults,
+            ddl_count: exec.ddl_count,
+            query_id,
+            script,
+            trace: rec.trace,
+            cost: rec.cost,
+            transfers: exec.transfers,
+        })
+    }
+
+    /// The execute stage: charge one control message per DDL, deploy the
+    /// script through the task-graph executor, run the XDB query, charge
+    /// the final-result transfer and (unless kept) drop the deployed
+    /// objects, all inside the query's own ledger scope. The simulated
+    /// timeline — and with it the breakdown and trace — is replayed over
+    /// the solo script, so a folded admission reports what it would have
+    /// alone. On failure this query's own objects are torn down before
+    /// the error returns.
+    pub(crate) fn execute(&self, ctx: &QueryCtx, to_deploy: &Deploy<'_>) -> Result<Executed> {
+        let cluster = self.cluster;
+        let script = to_deploy.script;
+        // Per-query cluster settings. Wire-codec dictionary reuse is
+        // scoped to one query: edges that stream the same relation within
+        // this submission share encode state, nothing leaks across
+        // submissions.
+        cluster.clear_codec_cache();
+        cluster.set_stream_chunk_rows(self.options.stream_chunk_rows);
+        cluster.set_reactor_threads(self.options.reactor_threads);
         if self.options.trace_operators {
-            self.cluster.set_op_tracing(true);
+            cluster.set_op_tracing(true);
         }
-        // Publish the transport morsel size to every engine; edges encode
-        // per edge and stream at this granularity.
-        self.cluster
-            .set_stream_chunk_rows(self.options.stream_chunk_rows);
-        self.cluster
-            .set_reactor_threads(self.options.reactor_threads);
-        let exec = if self.options.parallel_execution {
-            run_script_parallel(self.cluster, &delegation, &script, &trace_ctx)
-        } else {
-            run_script(self.cluster, &delegation, &script, &trace_ctx)
-        };
+        let scope = ScopedCluster::new(cluster);
+        let control = charge_control(&scope, &self.client_node, script);
+        let exec_span = ctx.exec_span(0.0);
+        let trace_ctx = TraceCtx::new(&ctx.collector, ctx.overhead_ms, Some(exec_span));
+        let parallel = self.options.parallel_execution;
+        let run = deploy(&scope, &ctx.delegation, script, parallel).and_then(|deployed| {
+            // As-if-alone step reports: the solo script's steps, each from
+            // the fragment owner when folded away, else from this run.
+            let mut own = deployed.reports.iter();
+            let mut owners: HashMap<usize, std::slice::Iter<'_, StepRun>> = (to_deploy.owners)
+                .iter()
+                .map(|(task, runs)| (*task, runs.iter()))
+                .collect();
+            let timeline: Vec<ExecReport> = (to_deploy.solo.steps.iter())
+                .map(|step| match owners.get_mut(&step.task) {
+                    Some(runs) => runs.next().map(|r| r.report.clone()),
+                    None => own.next().cloned(),
+                })
+                .map(Option::unwrap_or_default)
+                .collect();
+            let solo = to_deploy.solo;
+            let outcome = finish_script(&scope, &ctx.delegation, solo, &timeline, &trace_ctx)?;
+            Ok((deployed, outcome))
+        });
         if self.options.trace_operators {
-            self.cluster.set_op_tracing(false);
+            cluster.set_op_tracing(false);
         }
-        let outcome = match exec {
-            Ok(o) => o,
+        let (deployed, outcome) = match run {
+            Ok(done) => done,
             Err(e) => {
                 // Failure mid-execution: tear down whatever was created.
-                run_cleanup(self.cluster, &script);
+                run_cleanup(cluster, script);
+                scope.commit();
+                let telemetry = cluster.telemetry();
                 telemetry
                     .metrics
                     .counter_add("xdb.queries", &[("status", "error")], 1.0);
@@ -600,53 +639,95 @@ impl<'a> Xdb<'a> {
                 telemetry.events.log(
                     xdb_obs::Level::Warn,
                     "core.client",
-                    Some(query_id),
-                    overhead_ms,
+                    Some(ctx.query_id),
+                    ctx.overhead_ms,
                     "execution failed; delegation artifacts torn down",
                     &[("error", &err)],
                 );
                 return Err(e);
             }
         };
-        // The final result travels from the root DBMS to the client —
-        // priced through the same wire codec as every other edge (sizing
-        // only: the client holds the relation already).
-        let final_enc = wire::measure(outcome.relation.columns(), outcome.relation.len());
-        self.cluster.ledger.record_wire(
-            &script.root_node,
-            &self.client_node,
-            outcome.relation.wire_bytes(),
-            outcome.relation.len() as u64,
-            Purpose::FinalResult,
-            &final_enc.stats(self.options.stream_chunk_rows),
-        );
-        if !self.options.keep_objects {
-            run_cleanup(self.cluster, &script);
+        self.charge_final_result(&scope.ledger, &script.root_node, &outcome.relation);
+        if !to_deploy.keep_objects {
+            run_cleanup(cluster, script);
         }
-        collector.set_dur(exec_span, outcome.exec_ms);
-        collector.set_dur(query_span, overhead_ms + outcome.exec_ms);
+        let transfers = scope.commit();
+        ctx.collector.set_dur(exec_span, outcome.exec_ms);
+        ctx.collector
+            .set_dur(ctx.query_span, ctx.overhead_ms + outcome.exec_ms);
         self.emit_transfer_spans(
-            &collector,
+            &ctx.collector,
             exec_span,
-            ledger_mark,
-            overhead_ms,
+            &transfers,
+            ctx.overhead_ms,
             outcome.exec_ms,
         );
+        let steps = (deployed.reports.into_iter().zip(control))
+            .zip(deployed.records)
+            .map(|((report, control), data)| StepRun {
+                report,
+                control: transfers[control].to_vec(),
+                data: transfers[data].to_vec(),
+            })
+            .collect();
+        Ok(Executed {
+            relation: outcome.relation,
+            exec_ms: outcome.exec_ms,
+            ddl_count: outcome.ddl_count,
+            steps,
+            transfers,
+            final_data: outcome.final_records,
+            exec_span,
+        })
+    }
+
+    /// The final result travels from the root DBMS to the client — priced
+    /// through the same wire codec as every other edge (sizing only: the
+    /// client holds the relation already).
+    pub(crate) fn charge_final_result(&self, ledger: &Ledger, root: &NodeId, relation: &Relation) {
+        let enc = wire::measure(relation.columns(), relation.len());
+        ledger.record_wire(
+            root,
+            &self.client_node,
+            relation.wire_bytes(),
+            relation.len() as u64,
+            Purpose::FinalResult,
+            &enc.stats(self.options.stream_chunk_rows),
+        );
+    }
+
+    /// The record stage: finish the trace and project everything a user
+    /// sees from it and from `transfers` — the records the query is
+    /// accountable for (its own, or a folded admission's attributed view).
+    /// Builds the cost observation and feeds it back into the learned
+    /// profiles (unless frozen), and emits the query telemetry, the history
+    /// record and the slow-query log.
+    pub(crate) fn record(
+        &self,
+        sql: &str,
+        ctx: QueryCtx,
+        transfers: &[Transfer],
+        rows: usize,
+    ) -> Recorded {
+        let QueryCtx {
+            delegation,
+            decisions,
+            collector,
+            query_id,
+            ..
+        } = ctx;
         let trace = collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         // Cost-model observatory: join the predicted placement decisions
-        // against the ledger records this query appended and its statement
-        // work. Reads only final state, so it cannot perturb any
-        // deterministic observable.
-        let ledger_records = self.cluster.ledger.snapshot();
+        // against this query's records and its statement work. Reads only
+        // final state, so it cannot perturb any deterministic observable.
         let statements = statements_from_trace(&trace);
         let cost = crate::observatory::build_cost_observation(
             self.cluster,
             &decisions,
-            &ledger_records[ledger_mark.min(ledger_records.len())..],
+            transfers,
             &statements,
         );
-        drop(ledger_records);
         // Feedback: fold this query's observation into the catalog's
         // learned profiles. The observation is bit-identical across
         // executors / reactor settings / chunk sizes, so feedback
@@ -654,16 +735,17 @@ impl<'a> Xdb<'a> {
         if self.options.learned_costs && !self.options.freeze_profiles && !cost.is_empty() {
             self.catalog.absorb_cost_observation(&cost, &statements);
         }
+        let telemetry = self.cluster.telemetry();
         telemetry
             .metrics
-            .observe("xdb.phase_ms", &[("phase", "exec")], outcome.exec_ms);
+            .observe("xdb.phase_ms", &[("phase", "exec")], breakdown.exec_ms);
         telemetry
             .metrics
             .observe("xdb.total_ms", &[], breakdown.total_ms());
         telemetry
             .metrics
             .counter_add("xdb.queries", &[("status", "ok")], 1.0);
-        let rows = outcome.relation.len().to_string();
+        let rows = rows.to_string();
         let total = format!("{:.3}", breakdown.total_ms());
         telemetry.events.log(
             xdb_obs::Level::Info,
@@ -684,17 +766,29 @@ impl<'a> Xdb<'a> {
         if telemetry.history.is_enabled() || slow {
             let crit = critical_path(&trace);
             if telemetry.history.is_enabled() {
-                let record = self.history_record(
-                    sql,
-                    &delegation,
-                    &breakdown,
-                    crit.as_ref(),
+                telemetry.history.append(HistoryRecord {
+                    schema_version: HISTORY_SCHEMA_VERSION,
+                    label: telemetry.history.label(),
+                    deployment: "xdb".to_string(),
+                    sql_fnv: stable_hash_hex(sql.as_bytes()),
+                    fingerprint: plan_fingerprint(&delegation),
                     query_id,
-                    ledger_mark,
-                    &trace,
-                    &cost,
-                );
-                telemetry.history.append(record);
+                    total_ms: breakdown.total_ms(),
+                    phases: vec![
+                        ("prep".to_string(), breakdown.prep_ms),
+                        ("lopt".to_string(), breakdown.lopt_ms),
+                        ("ann".to_string(), breakdown.ann_ms),
+                        ("exec".to_string(), breakdown.exec_ms),
+                    ],
+                    consult_hits: breakdown.consult_cache_hits,
+                    consult_misses: breakdown.consult_cache_misses,
+                    crit_spans: crit.as_ref().map_or(0, |c| c.steps.len() as u64),
+                    critical: crit.as_ref().map(critical_attribution).unwrap_or_default(),
+                    edges: transfers.iter().map(edge_obs).collect(),
+                    statements,
+                    cost: cost.clone(),
+                    learned_costs: self.options.learned_costs,
+                });
             }
             if slow {
                 let threshold = format!("{}", self.options.slow_query_ms.unwrap_or(0.0));
@@ -730,17 +824,12 @@ impl<'a> Xdb<'a> {
                 );
             }
         }
-        Ok(QueryOutcome {
-            relation: outcome.relation,
+        Recorded {
             delegation,
-            breakdown,
-            consult_roundtrips: consults,
-            ddl_count: outcome.ddl_count,
-            query_id,
-            script,
             trace,
+            breakdown,
             cost,
-        })
+        }
     }
 
     /// Tear down the delegation artifacts (`xdb_q<id>_*` views, foreign
@@ -752,101 +841,26 @@ impl<'a> Xdb<'a> {
         run_cleanup(self.cluster, &outcome.script)
     }
 
-    /// Assemble the [`HistoryRecord`] of one finished submission: plan
-    /// fingerprint, phase timings, critical-path attribution, per-edge
-    /// wire observations (from the ledger records this query appended),
-    /// and per-engine statement work (from the trace counters).
-    #[allow(clippy::too_many_arguments)]
-    fn history_record(
-        &self,
-        sql: &str,
-        delegation: &DelegationPlan,
-        breakdown: &PhaseBreakdown,
-        crit: Option<&CriticalPath>,
-        query_id: u64,
-        ledger_mark: usize,
-        trace: &QueryTrace,
-        cost: &xdb_obs::CostObservation,
-    ) -> HistoryRecord {
-        let telemetry = self.cluster.telemetry();
-        let records = self.cluster.ledger.snapshot();
-        let edges = records[ledger_mark.min(records.len())..]
-            .iter()
-            .map(|t| EdgeObs {
-                from: t.from.as_str().to_string(),
-                to: t.to.as_str().to_string(),
-                purpose: format!("{:?}", t.purpose),
-                bytes: t.bytes,
-                encoded_bytes: t.encoded_bytes,
-                rows: t.rows,
-                codecs: t
-                    .codec_bytes
-                    .iter()
-                    .map(|(c, b)| (c.to_string(), *b))
-                    .collect(),
-            })
-            .collect();
-        let statements = statements_from_trace(trace);
-        let critical = crit
-            .map(|c| {
-                c.attribution
-                    .iter()
-                    .map(|a| {
-                        (
-                            a.category.label().to_string(),
-                            a.location.clone(),
-                            xdb_obs::critical::ms(a.ns),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        HistoryRecord {
-            schema_version: HISTORY_SCHEMA_VERSION,
-            label: telemetry.history.label(),
-            deployment: "xdb".to_string(),
-            sql_fnv: stable_hash_hex(sql.as_bytes()),
-            fingerprint: plan_fingerprint(delegation),
-            query_id,
-            total_ms: breakdown.total_ms(),
-            phases: vec![
-                ("prep".to_string(), breakdown.prep_ms),
-                ("lopt".to_string(), breakdown.lopt_ms),
-                ("ann".to_string(), breakdown.ann_ms),
-                ("exec".to_string(), breakdown.exec_ms),
-            ],
-            consult_hits: breakdown.consult_cache_hits,
-            consult_misses: breakdown.consult_cache_misses,
-            crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
-            critical,
-            edges,
-            statements,
-            cost: cost.clone(),
-            learned_costs: self.options.learned_costs,
-        }
-    }
-
-    /// One Transfer span (lane `net`) per ledger record this query
-    /// appended, in ledger-merge order — the order is deterministic because
-    /// both executors absorb worker ledgers in script order. Each record
-    /// gets an equal slot of the exec window; the span sequence visualises
-    /// *what moved and in which order*, not independent wire timings (those
-    /// live on the Materialize / pipeline spans).
+    /// One Transfer span (lane `net`) per record, in recording order — the
+    /// order is deterministic because both executors absorb worker ledgers
+    /// in script order. Each record gets an equal slot of the exec window;
+    /// the span sequence visualises *what moved and in which order*, not
+    /// independent wire timings (those live on the Materialize / pipeline
+    /// spans).
     pub(crate) fn emit_transfer_spans(
         &self,
         collector: &TraceCollector,
         exec_span: SpanId,
-        ledger_mark: usize,
+        records: &[Transfer],
         exec_start_ms: f64,
         exec_ms: f64,
     ) {
-        let records = self.cluster.ledger.snapshot();
-        if ledger_mark >= records.len() {
+        if records.is_empty() {
             return;
         }
-        let fresh = &records[ledger_mark..];
-        let slot = exec_ms / fresh.len() as f64;
-        for (i, t) in fresh.iter().enumerate() {
+        let slot = exec_ms / records.len() as f64;
+        let telemetry = self.cluster.telemetry();
+        for (i, t) in records.iter().enumerate() {
             let span = collector.span(
                 SpanKind::Transfer,
                 format!("{} -> {}", t.from, t.to),
@@ -860,61 +874,143 @@ impl<'a> Xdb<'a> {
             collector.attr(span, "rows", t.rows.to_string());
             collector.attr(span, "purpose", format!("{:?}", t.purpose));
             collector.attr(span, "order", i.to_string());
-            match t.purpose {
-                Purpose::InterDbmsPipeline => collector.attr(span, "movement", "implicit"),
-                Purpose::Materialization => collector.attr(span, "movement", "explicit"),
-                _ => {}
-            }
             collector.add("net.bytes", t.bytes as f64);
             collector.add("net.encoded_bytes", t.encoded_bytes as f64);
+            let movement = match t.purpose {
+                Purpose::InterDbmsPipeline => "implicit",
+                Purpose::Materialization => "explicit",
+                _ => continue,
+            };
+            collector.attr(span, "movement", movement);
+            collector.add(&format!("net.{movement}_bytes"), t.bytes as f64);
             // Per-edge transfer size distribution for the fleet registry
-            // (this loop runs single-threaded in ledger-merge order).
-            let telemetry = self.cluster.telemetry();
-            match t.purpose {
-                Purpose::InterDbmsPipeline => {
-                    collector.add("net.implicit_bytes", t.bytes as f64);
-                    telemetry.metrics.observe(
-                        "net.edge_bytes",
-                        &[("movement", "implicit")],
-                        t.bytes as f64,
-                    );
-                }
-                Purpose::Materialization => {
-                    collector.add("net.explicit_bytes", t.bytes as f64);
-                    telemetry.metrics.observe(
-                        "net.edge_bytes",
-                        &[("movement", "explicit")],
-                        t.bytes as f64,
-                    );
-                }
-                _ => {}
-            }
+            // (this loop runs single-threaded in recording order).
+            let labels = [("movement", movement)];
+            telemetry
+                .metrics
+                .observe("net.edge_bytes", &labels, t.bytes as f64);
         }
     }
 }
 
-/// Output of the optimization front half: everything `submit` needs to go
-/// on and execute, plus the live trace collector with the prep/lopt/ann
-/// spans already recorded.
-pub(crate) struct Planned {
+/// One submission's planning output and live trace: the context the
+/// execute and record stages share.
+pub(crate) struct QueryCtx {
     pub(crate) delegation: DelegationPlan,
-    pub(crate) script: DelegationScript,
+    /// Placement decisions in annotation order — the predicted half of
+    /// the cost-model observatory, joined by the record stage.
+    pub(crate) decisions: Vec<PlacementDecision>,
+    /// The live trace, with the prep/lopt/ann spans already recorded.
     pub(crate) collector: TraceCollector,
     pub(crate) query_span: SpanId,
+    /// Simulated planning time; the exec phase starts here.
     pub(crate) overhead_ms: f64,
-    pub(crate) consults: u64,
     pub(crate) query_id: u64,
+}
+
+/// Output of the optimization front half: the query context plus the
+/// full DDL script and the planning counts the session layer caches.
+pub(crate) struct Planned {
+    pub(crate) ctx: QueryCtx,
+    pub(crate) script: DelegationScript,
+    pub(crate) consults: u64,
     /// Canonical fragment key per task (annotation-time canonicalization).
-    pub(crate) fragment_keys: std::collections::HashMap<usize, String>,
-    /// Placement decisions in annotation order — the predicted half of
-    /// the cost-model observatory, joined post-execution by `submit`.
-    pub(crate) decisions: Vec<crate::annotate::PlacementDecision>,
+    pub(crate) fragment_keys: HashMap<usize, String>,
     /// Metadata probes issued during prep (hits + fetches). A warm replan
     /// of the same query answers all of them from the consultation cache.
     pub(crate) prep_probes: u64,
     /// EXPLAIN probes issued during annotation (hits + misses).
     pub(crate) ann_probes: u64,
     pub(crate) lopt_ms: f64,
+}
+
+impl QueryCtx {
+    /// Open the exec phase span (the execute stage sets its duration once
+    /// known; a full fold knows it up front).
+    pub(crate) fn exec_span(&self, dur_ms: f64) -> SpanId {
+        let parent = Some(self.query_span);
+        (self.collector).span(
+            SpanKind::Phase,
+            "exec",
+            "client",
+            parent,
+            self.overhead_ms,
+            dur_ms,
+        )
+    }
+}
+
+/// What the execute stage ships. `solo` is the full script of the plan —
+/// the skeleton of the simulated timeline — and equals `script` unless
+/// plan folding pruned the tasks in `owners`, whose step runs come from
+/// the query that deployed the shared fragment.
+pub(crate) struct Deploy<'p> {
+    pub(crate) script: &'p DelegationScript,
+    pub(crate) solo: &'p DelegationScript,
+    pub(crate) owners: HashMap<usize, &'p [StepRun]>,
+    /// Leave the deployed objects in place after a successful run.
+    pub(crate) keep_objects: bool,
+}
+
+/// One deployed DDL step: its execution report and the ledger records it
+/// caused (its control message, then the data it pulled).
+#[derive(Clone)]
+pub(crate) struct StepRun {
+    pub(crate) report: ExecReport,
+    pub(crate) control: Vec<Transfer>,
+    pub(crate) data: Vec<Transfer>,
+}
+
+/// What the execute stage hands on.
+pub(crate) struct Executed {
+    pub(crate) relation: Relation,
+    pub(crate) exec_ms: f64,
+    pub(crate) ddl_count: usize,
+    /// The deployed steps, in script order.
+    pub(crate) steps: Vec<StepRun>,
+    /// This query's own ledger records in recording order: control
+    /// messages, deployment data, the final query's pulls (`final_data`),
+    /// then the final result.
+    pub(crate) transfers: Vec<Transfer>,
+    pub(crate) final_data: Range<usize>,
+    pub(crate) exec_span: SpanId,
+}
+
+/// What the record stage hands back.
+pub(crate) struct Recorded {
+    pub(crate) delegation: DelegationPlan,
+    pub(crate) trace: QueryTrace,
+    pub(crate) breakdown: PhaseBreakdown,
+    pub(crate) cost: xdb_obs::CostObservation,
+}
+
+fn edge_obs(t: &Transfer) -> EdgeObs {
+    EdgeObs {
+        from: t.from.as_str().to_string(),
+        to: t.to.as_str().to_string(),
+        purpose: format!("{:?}", t.purpose),
+        bytes: t.bytes,
+        encoded_bytes: t.encoded_bytes,
+        rows: t.rows,
+        codecs: t
+            .codec_bytes
+            .iter()
+            .map(|(c, b)| (c.to_string(), *b))
+            .collect(),
+    }
+}
+
+fn critical_attribution(c: &CriticalPath) -> Vec<(String, String, f64)> {
+    c.attribution
+        .iter()
+        .map(|a| {
+            (
+                a.category.label().to_string(),
+                a.location.clone(),
+                xdb_obs::critical::ms(a.ns),
+            )
+        })
+        .collect()
 }
 
 /// Per-engine statement work from the trace counters

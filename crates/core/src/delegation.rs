@@ -17,12 +17,13 @@
 
 use crate::plan::{placeholder_name, DelegationPlan};
 use std::collections::HashMap;
+use std::ops::Range;
 use xdb_engine::cluster::{Cluster, ScopedCluster};
 use xdb_engine::engine::ExecReport;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::Ledger;
-use xdb_net::{params, Movement, NodeId};
+use xdb_net::{params, Movement, NodeId, Purpose};
 use xdb_obs::{ExecProfile, SpanId, SpanKind, TraceCtx};
 use xdb_sql::algebra::{plan_to_select, LogicalPlan};
 use xdb_sql::ast::{ColumnDef, Statement};
@@ -74,6 +75,18 @@ pub struct ExecutionOutcome {
     /// Simulated time spent on DDL round-trips alone.
     pub ddl_ms: f64,
     pub ddl_count: usize,
+    /// The records each deployed DDL step appended to the query scope's
+    /// ledger, in script order (empty when the step moved nothing).
+    pub step_records: Vec<Range<usize>>,
+    /// The records the final pipelined query appended.
+    pub final_records: Range<usize>,
+}
+
+/// What deploying a script produced: one execution report and one range of
+/// the query scope's ledger per DDL step, in script order.
+pub(crate) struct Deployment {
+    pub(crate) reports: Vec<ExecReport>,
+    pub(crate) records: Vec<Range<usize>>,
 }
 
 /// Names for the short-lived relations of one deployed query. The query id
@@ -290,7 +303,8 @@ pub(crate) fn bind_placeholders(
     })
 }
 
-/// Deploy and execute a delegation script on the cluster.
+/// Deploy and execute a delegation script inside one query scope, every
+/// DDL in script order on the calling thread.
 ///
 /// DDLs run in script order (they are cheap control messages). Explicit
 /// materializations are *execution* work: each `CREATE TABLE AS` pulls its
@@ -298,17 +312,61 @@ pub(crate) fn bind_placeholders(
 /// chain. The final `SELECT * FROM <root view>` then streams through the
 /// remaining implicit pipeline.
 pub fn run_script(
-    cluster: &Cluster,
+    scope: &ScopedCluster<'_>,
     plan: &DelegationPlan,
     script: &DelegationScript,
     trace: &TraceCtx<'_>,
 ) -> Result<ExecutionOutcome> {
-    let mut reports: Vec<ExecReport> = Vec::with_capacity(script.steps.len());
-    for step in &script.steps {
-        let outcome = cluster.execute(step.node.as_str(), &step.sql)?;
-        reports.push(outcome.report);
-    }
-    finish_script(cluster, plan, script, &reports, trace)
+    run_deployed(scope, plan, script, trace, false)
+}
+
+/// [`run_script`] with independent task groups deployed concurrently by
+/// the event-graph executor (see `deploy`); observationally identical.
+pub fn run_script_parallel(
+    scope: &ScopedCluster<'_>,
+    plan: &DelegationPlan,
+    script: &DelegationScript,
+    trace: &TraceCtx<'_>,
+) -> Result<ExecutionOutcome> {
+    run_deployed(scope, plan, script, trace, true)
+}
+
+fn run_deployed(
+    scope: &ScopedCluster<'_>,
+    plan: &DelegationPlan,
+    script: &DelegationScript,
+    trace: &TraceCtx<'_>,
+    parallel: bool,
+) -> Result<ExecutionOutcome> {
+    let deployed = deploy(scope, plan, script, parallel)?;
+    let mut outcome = finish_script(scope, plan, script, &deployed.reports, trace)?;
+    outcome.step_records = deployed.records;
+    Ok(outcome)
+}
+
+/// Charge one control message per DDL step — the middleware shipping the
+/// statement to its DBMS (Fig 14's "lightweight control messages") — into
+/// the query scope; returns each step's record range, in script order.
+pub(crate) fn charge_control(
+    scope: &ScopedCluster<'_>,
+    client: &NodeId,
+    script: &DelegationScript,
+) -> Vec<Range<usize>> {
+    script
+        .steps
+        .iter()
+        .map(|step| {
+            let at = scope.ledger.len();
+            scope.ledger.record(
+                client,
+                &step.node,
+                step.sql.len() as u64,
+                0,
+                Purpose::ControlMessage,
+            );
+            at..scope.ledger.len()
+        })
+        .collect()
 }
 
 /// Shared tail of both executors: replay the simulated timeline from the
@@ -319,7 +377,7 @@ pub fn run_script(
 /// the deterministic step reports, so sequential and parallel runs produce
 /// bit-identical timings *and traces* by construction.
 pub(crate) fn finish_script(
-    cluster: &Cluster,
+    scope: &ScopedCluster<'_>,
     plan: &DelegationPlan,
     script: &DelegationScript,
     step_reports: &[ExecReport],
@@ -345,7 +403,9 @@ pub(crate) fn finish_script(
     let ddl_ms = ddl_count as f64 * params::DDL_ROUNDTRIP_MS;
 
     // The XDB query triggers the in-situ pipeline.
-    let (relation, report) = cluster.query(script.root_node.as_str(), &script.xdb_query)?;
+    let at = scope.ledger.len();
+    let (relation, report) = scope.query(script.root_node.as_str(), &script.xdb_query)?;
+    let final_records = at..scope.ledger.len();
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
     let exec_ms = ddl_ms + root_ready + report.finish_ms;
@@ -365,7 +425,7 @@ pub(crate) fn finish_script(
     // Fleet telemetry. This tail is single-threaded and driven only by
     // script order + deterministic reports, so histogram observations and
     // the Info event below are bit-identical across executors.
-    let telemetry = cluster.telemetry();
+    let telemetry = scope.cluster().telemetry();
     for (step, report) in script.steps.iter().zip(step_reports) {
         telemetry.metrics.observe(
             "exec.step_work_ms",
@@ -403,6 +463,8 @@ pub(crate) fn finish_script(
         exec_ms,
         ddl_ms,
         ddl_count,
+        step_records: Vec::new(),
+        final_records,
     })
 }
 
@@ -616,11 +678,13 @@ fn ready(
     t
 }
 
-/// What one parallel task group hands back: its scratch ledger plus the
-/// execution report of every step it ran, in step order.
+/// What one parallel task group hands back: its scratch ledger, the
+/// execution report of every step it ran, in step order, and the scratch
+/// ledger's length after each step.
 struct GroupRun {
     ledger: Ledger,
     reports: Vec<ExecReport>,
+    ends: Vec<usize>,
 }
 
 /// Per-group result slot: outcome tag plus the run (or the error).
@@ -648,31 +712,46 @@ struct EventSched {
     remaining: usize,
 }
 
-/// Deploy and execute a delegation script with independent tasks running
-/// concurrently, driven by the dependency graph itself.
+/// Run every DDL step of `script` inside the query scope, returning each
+/// step's execution report and ledger records in script order.
 ///
-/// Each contiguous script-order run of one task's steps is a *group*; a
-/// group fires the moment all its in-edges drain — every group of every
+/// Sequentially (`parallel == false`) the steps run in script order on the
+/// calling thread. Otherwise independent tasks run concurrently, driven by
+/// the dependency graph itself. Each contiguous script-order run of one
+/// task's steps is a *group*; a group fires the moment all its in-edges drain — every group of every
 /// producer task has finished, plus the task's own earlier groups — rather
 /// than waiting for a global wave barrier, so a deep chain on one branch
 /// no longer stalls independent shallow branches. Each group records
 /// transfers into a private scratch [`Ledger`] and reports the raw finish
 /// time of each materialization; after the graph drains the scratch
-/// ledgers are absorbed in *script order* and the simulated timeline is
-/// replayed with the same `ready()` composition the sequential executor
-/// uses — making results, ledger contents, and simulated timings
-/// bit-identical to [`run_script`].
+/// ledgers are absorbed into the query scope in *script order*, so the
+/// reports and records — and the timeline [`finish_script`] replays from
+/// them — are bit-identical to the sequential run.
 ///
 /// On failure every group without a failed ancestor still runs (the set of
 /// executed groups is a function of the graph, not of thread timing), the
 /// error of the lowest failing group in script order is returned, and only
 /// scratch ledgers of groups strictly before it are absorbed.
-pub fn run_script_parallel(
-    cluster: &Cluster,
+pub(crate) fn deploy(
+    scope: &ScopedCluster<'_>,
     plan: &DelegationPlan,
     script: &DelegationScript,
-    trace: &TraceCtx<'_>,
-) -> Result<ExecutionOutcome> {
+    parallel: bool,
+) -> Result<Deployment> {
+    if !parallel {
+        let mut deployed = Deployment {
+            reports: Vec::with_capacity(script.steps.len()),
+            records: Vec::with_capacity(script.steps.len()),
+        };
+        for step in &script.steps {
+            let at = scope.ledger.len();
+            let outcome = scope.execute(step.node.as_str(), &step.sql)?;
+            deployed.reports.push(outcome.report);
+            deployed.records.push(at..scope.ledger.len());
+        }
+        return Ok(deployed);
+    }
+    let cluster = scope.cluster();
     // Contiguous runs of steps belonging to one task, in script order.
     let mut groups: Vec<(usize, Vec<&DdlStep>)> = Vec::new();
     for step in &script.steps {
@@ -742,52 +821,66 @@ pub fn run_script_parallel(
         }
     };
 
-    let workers = groups
-        .len()
-        .min(
+    // Only materializations do real work while deploying (views and
+    // foreign tables are catalog entries), so extra workers pay for their
+    // threads only when two or more groups materialize. The calling
+    // thread is always one of the workers.
+    let materializing = groups
+        .iter()
+        .filter(|(_, steps)| steps.iter().any(|s| s.kind == DdlKind::Materialize))
+        .count();
+    let workers = if materializing < 2 {
+        1
+    } else {
+        groups.len().min(
             std::thread::available_parallelism()
                 .map_or(1, usize::from)
                 .max(2),
         )
-        .max(1);
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let gi = {
-                    let mut st = sched.lock().unwrap();
-                    loop {
-                        if let Some(gi) = st.ready.pop_front() {
-                            break gi;
-                        }
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        st = wake.wait(st).unwrap();
-                    }
-                };
-                let steps = &groups[gi].1;
-                let run = (|| {
-                    let scoped = ScopedCluster::new(cluster);
-                    let mut reports = Vec::with_capacity(steps.len());
-                    for step in steps {
-                        let outcome = cluster.with_step_lock(step.node.as_str(), || {
-                            scoped.execute(step.node.as_str(), &step.sql)
-                        })?;
-                        reports.push(outcome.report);
-                    }
-                    Ok(GroupRun {
-                        ledger: scoped.ledger,
-                        reports,
-                    })
-                })();
-                let ok = run.is_ok();
-                *done[gi].lock().unwrap() =
-                    Some((if ok { GroupDone::Ok } else { GroupDone::Failed }, run));
+        let work = || loop {
+            let gi = {
                 let mut st = sched.lock().unwrap();
-                resolve(gi, ok, &mut st);
-                wake.notify_all();
-            });
+                loop {
+                    if let Some(gi) = st.ready.pop_front() {
+                        break gi;
+                    }
+                    if st.remaining == 0 {
+                        return;
+                    }
+                    st = wake.wait(st).unwrap();
+                }
+            };
+            let steps = &groups[gi].1;
+            let run = (|| {
+                let scoped = ScopedCluster::new(cluster);
+                let mut reports = Vec::with_capacity(steps.len());
+                let mut ends = Vec::with_capacity(steps.len());
+                for step in steps {
+                    let outcome = cluster.with_step_lock(step.node.as_str(), || {
+                        scoped.execute(step.node.as_str(), &step.sql)
+                    })?;
+                    reports.push(outcome.report);
+                    ends.push(scoped.ledger.len());
+                }
+                Ok(GroupRun {
+                    ledger: scoped.ledger,
+                    reports,
+                    ends,
+                })
+            })();
+            let ok = run.is_ok();
+            *done[gi].lock().unwrap() =
+                Some((if ok { GroupDone::Ok } else { GroupDone::Failed }, run));
+            let mut st = sched.lock().unwrap();
+            resolve(gi, ok, &mut st);
+            wake.notify_all();
+        };
+        for _ in 1..workers {
+            s.spawn(work);
         }
+        work();
     });
 
     let mut runs: Vec<Option<GroupRun>> = Vec::new();
@@ -811,24 +904,30 @@ pub fn run_script_parallel(
         // absorb only groups strictly before the failing one in script
         // order, then let the caller clean up.
         for run in runs[..fail_gi].iter().flatten() {
-            cluster.ledger.absorb(&run.ledger);
+            scope.ledger.absorb(&run.ledger);
         }
         return Err(e);
     }
-    for run in runs.iter().flatten() {
-        cluster.ledger.absorb(&run.ledger);
-    }
 
-    // Post-barrier: flatten the per-group reports back into script order
-    // (groups are contiguous script-order step runs) and hand off to the
-    // shared, single-threaded tail — the same timeline replay and span
-    // emission the sequential executor uses.
-    let step_reports: Vec<ExecReport> = runs
-        .into_iter()
-        .flatten()
-        .flat_map(|run| run.reports)
-        .collect();
-    finish_script(cluster, plan, script, &step_reports, trace)
+    // Post-barrier: absorb the scratch ledgers and flatten the per-group
+    // reports back into script order (groups are contiguous script-order
+    // step runs), shifting each step's record range to its place in the
+    // query scope.
+    let mut deployed = Deployment {
+        reports: Vec::with_capacity(script.steps.len()),
+        records: Vec::with_capacity(script.steps.len()),
+    };
+    for run in runs.into_iter().flatten() {
+        let base = scope.ledger.len();
+        scope.ledger.absorb(&run.ledger);
+        let mut at = base;
+        for end in run.ends {
+            deployed.records.push(at..base + end);
+            at = base + end;
+        }
+        deployed.reports.extend(run.reports);
+    }
+    Ok(deployed)
 }
 
 /// Best-effort cleanup of all short-lived relations (also used by failure
@@ -866,6 +965,23 @@ mod tests {
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, OptimizeOptions};
     use xdb_sql::parse_select;
+
+    /// Run a script inside a query scope committed to the cluster ledger.
+    fn run(
+        cluster: &Cluster,
+        plan: &DelegationPlan,
+        script: &DelegationScript,
+        parallel: bool,
+    ) -> Result<ExecutionOutcome> {
+        let scope = ScopedCluster::new(cluster);
+        let out = if parallel {
+            run_script_parallel(&scope, plan, script, &TraceCtx::off())
+        } else {
+            run_script(&scope, plan, script, &TraceCtx::off())
+        };
+        scope.commit();
+        out
+    }
 
     fn delegate(
         sql: &str,
@@ -927,7 +1043,7 @@ mod tests {
     #[test]
     fn decentralized_execution_matches_single_engine() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run(&cluster, &plan, &script, false).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(
             outcome.relation.same_bag(&expected),
@@ -949,7 +1065,7 @@ mod tests {
             },
         );
         assert!(script.steps.iter().any(|s| s.kind == DdlKind::Materialize));
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run(&cluster, &plan, &script, false).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(outcome.relation.same_bag(&expected));
         // Materialization traffic got recorded as such.
@@ -968,12 +1084,14 @@ mod tests {
             };
             let (c_seq, _, p_seq, s_seq) = delegate(scenario::EXAMPLE_QUERY, options.clone());
             let (c_par, _, p_par, s_par) = delegate(scenario::EXAMPLE_QUERY, options);
-            let seq = run_script(&c_seq, &p_seq, &s_seq, &TraceCtx::off()).unwrap();
-            let par = run_script_parallel(&c_par, &p_par, &s_par, &TraceCtx::off()).unwrap();
+            let seq = run(&c_seq, &p_seq, &s_seq, false).unwrap();
+            let par = run(&c_par, &p_par, &s_par, true).unwrap();
             assert!(par.relation.same_bag(&seq.relation));
             assert_eq!(par.exec_ms, seq.exec_ms);
             assert_eq!(par.ddl_ms, seq.ddl_ms);
             assert_eq!(par.ddl_count, seq.ddl_count);
+            assert_eq!(par.step_records, seq.step_records);
+            assert_eq!(par.final_records, seq.final_records);
             let seq_snap = c_seq.ledger.snapshot();
             let par_snap = c_par.ledger.snapshot();
             assert_eq!(seq_snap.len(), par_snap.len());
@@ -990,7 +1108,7 @@ mod tests {
     #[test]
     fn cleanup_removes_all_objects() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        run(&cluster, &plan, &script, false).unwrap();
         let dropped = run_cleanup(&cluster, &script);
         assert_eq!(dropped, script.cleanup.len());
         // Re-running the XDB query must now fail: objects are gone.
@@ -1019,7 +1137,7 @@ mod tests {
         );
         assert_eq!(plan.tasks.len(), 1);
         assert!(script.steps.iter().all(|s| s.kind == DdlKind::View));
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run(&cluster, &plan, &script, false).unwrap();
         assert!(!outcome.relation.is_empty());
         // Nothing crossed the network except nothing: it all ran on vdb.
         assert_eq!(cluster.ledger.total_bytes(), 0);

@@ -34,9 +34,6 @@ struct ConsultedStats {
 pub struct GlobalCatalog {
     tables: HashMap<String, GlobalTable>,
     stats: RwLock<HashMap<String, ConsultedStats>>,
-    /// Estimated row counts registered for task-output placeholders during
-    /// plan annotation.
-    placeholders: RwLock<HashMap<String, f64>>,
     /// Number of metadata fetches performed (drives the `prep` phase of
     /// the Fig 15 breakdown).
     metadata_fetches: RwLock<u64>,
@@ -58,7 +55,6 @@ impl GlobalCatalog {
         GlobalCatalog {
             tables: HashMap::new(),
             stats: RwLock::new(HashMap::new()),
-            placeholders: RwLock::new(HashMap::new()),
             metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
             telemetry: Arc::clone(xdb_obs::telemetry::global()),
@@ -234,17 +230,11 @@ impl GlobalCatalog {
         self.profiles.write().absorb(cost, statements);
     }
 
-    /// Register the estimated cardinality of a task-output placeholder so
-    /// downstream cost decisions can use it.
-    pub fn register_placeholder(&self, name: &str, rows: f64) {
-        self.placeholders
-            .write()
-            .insert(name.to_ascii_lowercase(), rows);
-    }
-
-    pub fn clear_placeholders(&self) {
-        self.placeholders.write().clear();
-    }
+    /// No-op. Task-output placeholder estimates belong to each running
+    /// [`crate::annotate::Annotator`], never to the shared catalog, so
+    /// concurrent annotations cannot see each other's estimates and there
+    /// is nothing to clear. Kept so existing callers keep compiling.
+    pub fn clear_placeholders(&self) {}
 }
 
 impl Default for GlobalCatalog {
@@ -263,11 +253,10 @@ impl SchemaProvider for GlobalCatalog {
 
 impl StatsProvider for GlobalCatalog {
     fn table_rows(&self, relation: &str) -> Option<f64> {
-        let key = relation.to_ascii_lowercase();
-        if let Some(rows) = self.placeholders.read().get(&key) {
-            return Some(*rows);
-        }
-        self.stats.read().get(&key).map(|s| s.rows)
+        self.stats
+            .read()
+            .get(&relation.to_ascii_lowercase())
+            .map(|s| s.rows)
     }
 
     fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
@@ -365,9 +354,10 @@ mod tests {
 
     #[test]
     fn placeholder_estimates() {
+        // Placeholder estimates live with the annotation run, never in the
+        // shared catalog; clearing them is a no-op.
         let g = GlobalCatalog::new();
-        g.register_placeholder("__task_0", 1234.0);
-        assert_eq!(g.table_rows("__task_0"), Some(1234.0));
+        assert_eq!(g.table_rows("__task_0"), None);
         g.clear_placeholders();
         assert_eq!(g.table_rows("__task_0"), None);
     }

@@ -6,7 +6,7 @@
 //! profiles, and the side-effect-free calibration factors.
 //!
 //! Purely observational: the join reads already-final state (decisions,
-//! the script-ordered ledger slice this query appended, trace counters)
+//! the query's own script-ordered ledger records, trace counters)
 //! and never writes metrics, spans, or ledger entries — so enabling it
 //! cannot perturb any deterministic observable.
 
@@ -49,8 +49,8 @@ fn dominant_codec(t: &Transfer) -> String {
         .unwrap_or_else(|| "none".to_string())
 }
 
-/// Join one query's placement decisions against the ledger records it
-/// appended (`fresh` — script order, hence deterministic) and its
+/// Join one query's placement decisions against its own ledger records
+/// (`fresh` — script order, hence deterministic) and its
 /// per-engine statement work. Each predicted movement claims the first
 /// unclaimed fresh record with matching `(from, to, purpose)`.
 pub(crate) fn build_cost_observation(

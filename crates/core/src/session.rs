@@ -21,17 +21,24 @@
 //!    order, so every engine's `ddl.objects_live` gauge returns to its
 //!    pre-window baseline.
 //!
+//! **One pipeline.** Folding only decides *what* to deploy: the plan
+//! cache, fragment claim/release, the pruned script, fragment
+//! registration, the attributed view and the full-fold fan-out live here.
+//! Everything else — control charging, deployment through the task-graph
+//! executor, the final query and final-result transfer, failure cleanup,
+//! and the trace/breakdown/cost/history records — is the client's own
+//! execute and record stages ([`Xdb::submit`] composes the same two).
+//!
 //! **Determinism contract.** Admission processes the queue strictly in
-//! submission order, so a concurrent front door ([`QueryServer::run_concurrent`])
-//! produces results, ledgers, traces and deterministic metric snapshots
-//! bit-identical to sequential admission of the same list — at any
-//! executor partition count and stream chunk size. Folding itself changes
-//! the *physical* ledger by design (a shared edge is charged once); each
-//! tenant's observable outcome — its result relation, its as-if-alone
-//! [`PhaseBreakdown`], and its *attributed* ledger view (shared records
-//! attributed to every waiter) — is bit-identical to running the same
-//! query unfolded, modulo the width of process-global query ids that leak
-//! into control-message byte counts.
+//! submission order, so results, ledgers, traces and deterministic metric
+//! snapshots are a function of the submission list — at any executor
+//! partition count, reactor budget and stream chunk size. Folding itself
+//! changes the *physical* ledger by design (a shared edge is charged
+//! once); each tenant's observable outcome — its result relation, its
+//! as-if-alone [`PhaseBreakdown`], its *attributed* ledger view (shared
+//! records attributed to every waiter), and the cost observation and
+//! history record derived from that view — is bit-identical to running
+//! the same query unfolded.
 //!
 //! **Tenant awareness.** Every outcome carries the tenant and a fresh
 //! query id; traces get a `tenant` attribute on the query span (and a
@@ -39,18 +46,22 @@
 //! `session.fold_hits`) are labeled per tenant, and events carry the query
 //! id as correlation id.
 
-use crate::client::{next_query_id, PhaseBreakdown, Xdb, XdbOptions, PREP_PARSE_MS};
-use crate::delegation::{build_script, build_script_with_reuse, finish_script, view_name};
+use crate::annotate::PlacementDecision;
+use crate::client::{
+    next_query_id, Deploy, PhaseBreakdown, QueryCtx, Recorded, StepRun, Xdb, XdbOptions,
+    PREP_PARSE_MS,
+};
+use crate::delegation::{
+    build_script, build_script_with_reuse, run_cleanup, view_name, DelegationScript,
+};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::ExecReport;
+use xdb_engine::cluster::{Cluster, ScopedCluster};
 use xdb_engine::error::Result;
 use xdb_engine::relation::Relation;
-use xdb_net::{wire, NodeId, Purpose, Transfer};
-use xdb_obs::{QueryTrace, SpanId, SpanKind, TraceCollector, TraceCtx};
+use xdb_net::{NodeId, Transfer};
+use xdb_obs::{QueryTrace, SpanKind, TraceCollector};
 
 /// One tenant query handed to the admission queue.
 #[derive(Debug, Clone)]
@@ -104,6 +115,9 @@ pub struct TenantOutcome {
     /// the same query by itself against warm caches.
     pub breakdown: PhaseBreakdown,
     pub trace: QueryTrace,
+    /// Cost-model observation of this admission, joined against its
+    /// attributed view — equal to the same query's unfolded observation.
+    pub cost: xdb_obs::CostObservation,
     /// Whole plan answered from the window result cache.
     pub full_fold: bool,
     /// Number of this plan's tasks served by shared fragments.
@@ -176,17 +190,12 @@ impl SessionReport {
 struct Fragment {
     /// Name of the deployed view on the owning engine.
     view: String,
-    /// Control-message records of this fragment's DDLs (attributed to
-    /// every waiter, charged once physically).
-    control: Vec<Transfer>,
-    /// Data transfers recorded while deploying this fragment (explicit
-    /// materializations pulling upstream pipelines).
-    data: Vec<Transfer>,
-    /// Execution reports of this fragment's DDL steps, in script order.
-    /// Waiters splice them into their own solo timeline replay so a
-    /// partially folded query still reports its exact as-if-alone
-    /// breakdown and trace.
-    reports: Vec<ExecReport>,
+    /// This fragment's DDL steps, in script order: their control messages
+    /// and data transfers (charged once physically, attributed to every
+    /// waiter) and execution reports (spliced into each waiter's solo
+    /// timeline replay, so a partially folded query still reports its
+    /// exact as-if-alone breakdown and trace).
+    steps: Vec<StepRun>,
     /// Waiters currently claiming this fragment; must drain to zero before
     /// window close drops the backing objects.
     refs: u64,
@@ -198,16 +207,20 @@ struct CachedResult {
     /// As-if-alone execution time of the shared plan.
     exec_ms: f64,
     root_node: NodeId,
-    /// The owner's fully-assembled attributed ledger view (control, then
-    /// data including the final pipelined query) — every fan-out waiter
-    /// inherits it and appends only its own final-result transfer.
-    attributed_control: Vec<Transfer>,
-    attributed_data: Vec<Transfer>,
+    /// The owner's attributed ledger view without its final-result
+    /// transfer (control, then data including the final pipelined query) —
+    /// every fan-out waiter inherits it and appends its own final result.
+    attributed: Vec<Transfer>,
+    /// The owner's execution counters (`node.*`, `exec.*`): a fan-out
+    /// waiter's as-if-alone statement work, from which its cost
+    /// observation and history record are derived.
+    exec_counters: Vec<(String, f64)>,
 }
 
 /// Window plan cache entry, keyed by the submitted SQL text.
 struct CachedPlan {
     delegation: DelegationPlan,
+    decisions: Vec<PlacementDecision>,
     fragment_keys: HashMap<usize, String>,
     lopt_ms: f64,
     /// Probe counts of the cold plan; a warm replan answers all of them
@@ -224,9 +237,47 @@ struct WindowState {
     fragments: HashMap<String, Fragment>,
     results: HashMap<String, CachedResult>,
     plan_cache: HashMap<String, CachedPlan>,
-    /// Per-query cleanup scripts, executed in reverse query order at
-    /// window close (consumers drop before the shared views they read).
-    cleanup: Vec<Vec<(NodeId, String)>>,
+    /// Scripts of the queries that deployed objects, torn down in reverse
+    /// query order at window close (consumers drop before the shared views
+    /// they read).
+    deployed: Vec<DelegationScript>,
+}
+
+impl WindowState {
+    /// Claim every live shared fragment of the plan: task id -> view.
+    fn claim(
+        &mut self,
+        plan: &DelegationPlan,
+        keys: &HashMap<usize, String>,
+    ) -> HashMap<usize, String> {
+        let mut reuse = HashMap::new();
+        for id in plan.topo_order() {
+            if let Some(f) = self.fragments.get_mut(&keys[&id]) {
+                f.refs += 1;
+                reuse.insert(id, f.view.clone());
+            }
+        }
+        reuse
+    }
+
+    /// Drop the claims [`WindowState::claim`] took.
+    fn release(&mut self, reuse: &HashMap<usize, String>, keys: &HashMap<usize, String>) {
+        for id in reuse.keys() {
+            if let Some(f) = self.fragments.get_mut(&keys[id]) {
+                f.refs -= 1;
+            }
+        }
+    }
+}
+
+/// What one admission hands back to its window.
+struct Admitted {
+    query_id: u64,
+    relation: Relation,
+    rec: Recorded,
+    attributed: Vec<Transfer>,
+    full_fold: bool,
+    fold_hits: u64,
 }
 
 /// The multi-tenant query server: an admission queue over one [`Xdb`]
@@ -243,9 +294,10 @@ impl<'a> QueryServer<'a> {
         options: SessionOptions,
     ) -> QueryServer<'a> {
         let mut xdb_options = options.xdb.clone();
-        // Concurrent admission would absorb cost observations in
-        // scheduling order; freeze the profiles so tenant plans — and the
-        // gated latency series derived from them — stay deterministic.
+        // A plan-cache hit reuses a plan priced before the window's earlier
+        // observations, so absorbing them would let a tenant's plan depend
+        // on folding; freeze the profiles so tenant plans — and the gated
+        // latency series derived from them — do not.
         xdb_options.freeze_profiles = true;
         let xdb = Xdb::new(cluster, catalog).with_options(xdb_options);
         QueryServer { xdb, options }
@@ -280,38 +332,6 @@ impl<'a> QueryServer<'a> {
         Ok(report)
     }
 
-    /// The concurrent front door: `threads` tenant clients push their
-    /// submissions into a shared admission queue in whatever real-time
-    /// interleaving the scheduler produces; admission then orders the
-    /// queue by the client-assigned submission index before processing.
-    /// The downstream schedule — and with it every result, ledger, trace
-    /// and deterministic snapshot — is therefore bit-identical to
-    /// [`QueryServer::run`] on the same list.
-    pub fn run_concurrent(
-        &self,
-        submissions: &[Submission],
-        threads: usize,
-    ) -> Result<SessionReport> {
-        let threads = threads.max(1);
-        let queue: Mutex<Vec<(usize, Submission)>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let queue = &queue;
-                s.spawn(move || {
-                    for (i, sub) in submissions.iter().enumerate() {
-                        if i % threads == t {
-                            queue.lock().push((i, sub.clone()));
-                        }
-                    }
-                });
-            }
-        });
-        let mut admitted = queue.into_inner();
-        admitted.sort_by_key(|(i, _)| *i);
-        let ordered: Vec<Submission> = admitted.into_iter().map(|(_, sub)| sub).collect();
-        self.run(&ordered)
-    }
-
     /// Process one scheduling window. On error the window's shared
     /// fragments are torn down before the error propagates.
     fn run_window(
@@ -327,44 +347,70 @@ impl<'a> QueryServer<'a> {
         let mut w = WindowState::default();
         let mut failure = None;
         for (k, sub) in subs.iter().enumerate() {
-            let index = base_index + k;
             telemetry
                 .metrics
                 .counter_add("session.submissions", &[("tenant", &sub.tenant)], 1.0);
-            let outcome = if self.options.fold {
-                self.admit_folded(sub, index, window_open, clock, &mut w, report)
+            let admitted = if self.options.fold {
+                self.admit_folded(sub, clock, &mut w, report)
             } else {
-                self.admit_unfolded(sub, index, window_open, clock, report)
+                self.admit_unfolded(sub, clock, report)
             };
-            match outcome {
-                Ok(o) => report.outcomes.push(o),
+            let a = match admitted {
+                Ok(a) => a,
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
-            }
+            };
+            let latency = *clock - window_open;
+            let fold = match (a.full_fold, a.fold_hits) {
+                (true, _) => "full",
+                (false, 0) => "none",
+                _ => "partial",
+            };
+            // Completion telemetry: the fleet latency histogram plus a
+            // tenant-correlated event.
+            telemetry
+                .metrics
+                .observe("session.latency_ms", &[], latency);
+            let lat = format!("{latency:.3}");
+            telemetry.events.log(
+                xdb_obs::Level::Info,
+                "core.session",
+                Some(a.query_id),
+                latency,
+                "session query completed",
+                &[
+                    ("tenant", &sub.tenant),
+                    ("fold", fold),
+                    ("latency_ms", &lat),
+                ],
+            );
+            report.outcomes.push(TenantOutcome {
+                tenant: sub.tenant.clone(),
+                index: base_index + k,
+                query_id: a.query_id,
+                relation: a.relation,
+                breakdown: a.rec.breakdown,
+                trace: a.rec.trace,
+                cost: a.rec.cost,
+                full_fold: a.full_fold,
+                fold_hits: a.fold_hits,
+                admitted_ms: window_open,
+                completed_ms: *clock,
+                latency_ms: latency,
+                attributed: a.attributed,
+            });
         }
         // Window close: all waiters have drained, so every fragment's
-        // refcount is back to zero; drop shared objects in reverse
-        // creation order (mirroring run_cleanup's reverse-dependency
-        // discipline across queries).
+        // refcount is back to zero and the shared objects can go.
         debug_assert!(
             w.fragments.values().all(|f| f.refs == 0),
             "window closed with live fragment references"
         );
-        let mut dropped = 0usize;
-        for cleanup in w.cleanup.iter().rev() {
-            for (node, sql) in cleanup {
-                if cluster.execute(node.as_str(), sql).is_ok() {
-                    dropped += 1;
-                }
-            }
-        }
-        if dropped > 0 {
-            telemetry
-                .metrics
-                .counter_add("ddl.objects_dropped", &[], dropped as f64);
-        }
+        let dropped: usize = (w.deployed.iter().rev())
+            .map(|script| run_cleanup(cluster, script))
+            .sum();
         let dropped_s = dropped.to_string();
         let fragments_s = w.fragments.len().to_string();
         telemetry.events.log(
@@ -385,47 +431,42 @@ impl<'a> QueryServer<'a> {
     fn admit_unfolded(
         &self,
         sub: &Submission,
-        index: usize,
-        window_open: f64,
         clock: &mut f64,
         report: &mut SessionReport,
-    ) -> Result<TenantOutcome> {
-        let cluster = self.xdb.cluster();
-        let mark = cluster.ledger.len();
+    ) -> Result<Admitted> {
         let outcome = self.xdb.submit(&sub.sql)?;
-        let attributed = cluster.ledger.snapshot()[mark..].to_vec();
         report.consult_probes +=
             outcome.breakdown.consult_cache_hits + outcome.breakdown.consult_cache_misses;
         report.ddl_statements += outcome.ddl_count as u64;
         *clock += outcome.breakdown.total_ms();
-        let latency = *clock - window_open;
-        self.note_completion(&sub.tenant, outcome.query_id, latency, "none");
-        Ok(TenantOutcome {
-            tenant: sub.tenant.clone(),
-            index,
+        Ok(Admitted {
             query_id: outcome.query_id,
             relation: outcome.relation,
-            breakdown: outcome.breakdown,
-            trace: outcome.trace,
+            rec: Recorded {
+                delegation: outcome.delegation,
+                trace: outcome.trace,
+                breakdown: outcome.breakdown,
+                cost: outcome.cost,
+            },
+            attributed: outcome.transfers,
             full_fold: false,
             fold_hits: 0,
-            admitted_ms: window_open,
-            completed_ms: *clock,
-            latency_ms: latency,
-            attributed,
         })
     }
 
-    /// Folded admission of one query against the window state.
+    /// Folded admission of one query against the window state: plan
+    /// through the window plan cache, then either fan a cached result out
+    /// (full fold) or deploy only the fragments no live query shares
+    /// (partial or no fold) through the client's execute stage. Either
+    /// way the record stage sees the tenant's attributed view, so the
+    /// cost observation and history record equal the unfolded run's.
     fn admit_folded(
         &self,
         sub: &Submission,
-        index: usize,
-        window_open: f64,
         clock: &mut f64,
         w: &mut WindowState,
         report: &mut SessionReport,
-    ) -> Result<TenantOutcome> {
+    ) -> Result<Admitted> {
         let cluster = self.xdb.cluster();
         let telemetry = cluster.telemetry().clone();
 
@@ -434,492 +475,258 @@ impl<'a> QueryServer<'a> {
         // would all hit anyway — transient objects never bump a node's
         // DDL generation); the synthesized planning trace reproduces the
         // warm-replan breakdown bit-exactly.
-        let (delegation, fkeys, collector, query_span, overhead_ms, query_id);
-        if let Some(cp) = w.plan_cache.get(&sub.sql) {
-            delegation = cp.delegation.clone();
-            fkeys = cp.fragment_keys.clone();
-            query_id = next_query_id();
-            let (c, qs, oh) =
-                synthetic_planning_trace(&sub.sql, cp.prep_probes, cp.ann_probes, cp.lopt_ms);
-            collector = c;
-            query_span = qs;
-            overhead_ms = oh;
-            report.plan_cache_hits += 1;
-            telemetry
-                .metrics
-                .counter_add("session.plan_cache_hits", &[], 1.0);
-        } else {
-            let planned = self.xdb.plan_internal(&sub.sql)?;
-            report.consult_probes += planned.prep_probes + planned.ann_probes;
-            w.plan_cache.insert(
-                sub.sql.clone(),
-                CachedPlan {
-                    delegation: planned.delegation.clone(),
-                    fragment_keys: planned.fragment_keys.clone(),
-                    lopt_ms: planned.lopt_ms,
-                    prep_probes: planned.prep_probes,
-                    ann_probes: planned.ann_probes,
-                },
-            );
-            delegation = planned.delegation;
-            fkeys = planned.fragment_keys;
-            collector = planned.collector;
-            query_span = planned.query_span;
-            overhead_ms = planned.overhead_ms;
-            query_id = planned.query_id;
-        }
-        *clock += overhead_ms;
-        collector.attr(query_span, "tenant", &sub.tenant);
-        let root_key = fkeys[&delegation.root].clone();
-
-        // ---- Full fold: the whole plan is already materialized; fan the
-        // cached result out. The only fresh physical traffic is this
-        // waiter's own final-result transfer.
-        if let Some(cached) = w.results.get(&root_key) {
-            for key in fkeys.values() {
-                if let Some(f) = w.fragments.get_mut(key) {
-                    f.refs += 1;
-                }
-            }
-            let fold_hits = delegation.tasks.len() as u64;
-            report.fold_hits += fold_hits;
-            report.full_folds += 1;
-            telemetry.metrics.counter_add(
-                "session.fold_hits",
-                &[("tenant", &sub.tenant)],
-                fold_hits as f64,
-            );
-            telemetry
-                .metrics
-                .counter_add("session.full_folds", &[], 1.0);
-            let ledger_mark = cluster.ledger.len();
-            let enc = wire::measure(cached.relation.columns(), cached.relation.len());
-            cluster.ledger.record_wire(
-                &cached.root_node,
-                self.xdb.client_node(),
-                cached.relation.wire_bytes(),
-                cached.relation.len() as u64,
-                Purpose::FinalResult,
-                &enc.stats(self.options.xdb.stream_chunk_rows),
-            );
-            let exec_span = collector.span(
-                SpanKind::Phase,
-                "exec",
-                "client",
-                Some(query_span),
-                overhead_ms,
-                cached.exec_ms,
-            );
-            let fold = collector.span(
-                SpanKind::Exec,
-                "fold fan-out",
-                cached.root_node.as_str(),
-                Some(exec_span),
-                overhead_ms,
-                0.0,
-            );
-            collector.attr(fold, "fragments", fold_hits.to_string());
-            collector.attr(query_span, "fold", "full");
-            self.xdb.emit_transfer_spans(
-                &collector,
-                exec_span,
-                ledger_mark,
-                overhead_ms,
-                cached.exec_ms,
-            );
-            collector.set_dur(query_span, overhead_ms + cached.exec_ms);
-            let mut attributed = cached.attributed_control.clone();
-            attributed.extend(cached.attributed_data.iter().cloned());
-            attributed.extend(cluster.ledger.snapshot()[ledger_mark..].iter().cloned());
-            for key in fkeys.values() {
-                if let Some(f) = w.fragments.get_mut(key) {
-                    f.refs -= 1;
-                }
-            }
-            let relation = cached.relation.clone();
-            let trace = collector.finish();
-            let breakdown = PhaseBreakdown::from_trace(&trace);
-            let latency = *clock - window_open;
-            self.note_completion(&sub.tenant, query_id, latency, "full");
-            return Ok(TenantOutcome {
-                tenant: sub.tenant.clone(),
-                index,
-                query_id,
-                relation,
-                breakdown,
-                trace,
-                full_fold: true,
-                fold_hits,
-                admitted_ms: window_open,
-                completed_ms: *clock,
-                latency_ms: latency,
-                attributed,
-            });
-        }
-
-        // ---- Partial (or no) fold: claim live shared fragments, deploy
-        // and execute only the rest.
-        let mut reuse: HashMap<usize, String> = HashMap::new();
-        for id in delegation.topo_order() {
-            let key = &fkeys[&id];
-            if let Some(f) = w.fragments.get_mut(key) {
-                f.refs += 1;
-                reuse.insert(id, f.view.clone());
-            }
-        }
-        let fold_hits = reuse.len() as u64;
-        if fold_hits > 0 {
-            report.fold_hits += fold_hits;
-            telemetry.metrics.counter_add(
-                "session.fold_hits",
-                &[("tenant", &sub.tenant)],
-                fold_hits as f64,
-            );
-        }
-        let release = |w: &mut WindowState| {
-            for id in reuse.keys() {
-                if let Some(f) = w.fragments.get_mut(&fkeys[id]) {
-                    f.refs -= 1;
-                }
-            }
-        };
-        let script = match build_script_with_reuse(&delegation, query_id, cluster, &reuse) {
-            Ok(s) => s,
-            Err(e) => {
-                release(w);
-                return Err(e);
-            }
-        };
-        // The full (unpruned) script of the same plan: the skeleton of the
-        // as-if-alone timeline replay below. Only needed when something
-        // was actually folded away.
-        let solo_script = if reuse.is_empty() {
-            None
-        } else {
-            match build_script(&delegation, query_id, cluster) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    release(w);
-                    return Err(e);
-                }
-            }
-        };
-        report.ddl_statements += script.steps.len() as u64;
-        let ledger_mark = cluster.ledger.len();
-        // Control traffic first, exactly like Xdb::submit, sliced per task
-        // so each fragment's control cost can be attributed to its waiters.
-        let mut control_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        for step in &script.steps {
-            let at = cluster.ledger.len();
-            cluster.ledger.record(
-                self.xdb.client_node(),
-                &step.node,
-                step.sql.len() as u64,
-                0,
-                Purpose::ControlMessage,
-            );
-            control_ranges
-                .entry(step.task)
-                .and_modify(|r| r.1 = at + 1)
-                .or_insert((at, at + 1));
-        }
-        let exec_span = collector.span(
-            SpanKind::Phase,
-            "exec",
-            "client",
-            Some(query_span),
-            overhead_ms,
-            0.0,
-        );
-        let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
-        cluster.set_stream_chunk_rows(self.options.xdb.stream_chunk_rows);
-        cluster.clear_codec_cache();
-        if self.options.xdb.trace_operators {
-            cluster.set_op_tracing(true);
-        }
-        // Deploy sequentially, slicing the ledger per task group (groups
-        // are contiguous in script order). Fragment deployment order and
-        // the simulated timeline replay are identical to the sequential
-        // executor — which is itself bit-identical to the parallel one.
-        let mut step_reports: Vec<ExecReport> = Vec::with_capacity(script.steps.len());
-        let mut data_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut exec_err = None;
-        for step in &script.steps {
-            let at = cluster.ledger.len();
-            match cluster.execute(step.node.as_str(), &step.sql) {
-                Ok(out) => step_reports.push(out.report),
-                Err(e) => {
-                    exec_err = Some(e);
-                    break;
-                }
-            }
-            let end = cluster.ledger.len();
-            if end > at {
-                data_ranges
-                    .entry(step.task)
-                    .and_modify(|r| r.1 = end)
-                    .or_insert((at, end));
-            }
-        }
-        let final_mark = cluster.ledger.len();
-        // As-if-alone timeline: replay the finish over the full solo
-        // script, splicing the owners' step reports in for reused
-        // fragments, so a partially folded query reports the exact
-        // breakdown and trace it would have had running alone. The
-        // physical work above stays pruned — only the simulated-clock
-        // replay is reconstructed (and the final XDB query it runs is the
-        // waiter's own: its root view exists under its own name).
-        let merged: Vec<ExecReport>;
-        let (timeline_script, timeline_reports) = match &solo_script {
-            None => (&script, &step_reports),
-            Some(solo) => {
-                let mut own = step_reports.iter();
-                let mut cursors: HashMap<usize, usize> = HashMap::new();
-                merged = solo
-                    .steps
-                    .iter()
-                    .map(|step| {
-                        if reuse.contains_key(&step.task) {
-                            let cur = cursors.entry(step.task).or_insert(0);
-                            let f = &w.fragments[&fkeys[&step.task]];
-                            let r = f.reports.get(*cur).cloned().unwrap_or_default();
-                            *cur += 1;
-                            r
-                        } else {
-                            own.next().cloned().unwrap_or_default()
-                        }
-                    })
-                    .collect();
-                (solo, &merged)
-            }
-        };
-        let exec = match exec_err {
-            Some(e) => Err(e),
-            None => finish_script(
-                cluster,
-                &delegation,
-                timeline_script,
-                timeline_reports,
-                &trace_ctx,
-            ),
-        };
-        if self.options.xdb.trace_operators {
-            cluster.set_op_tracing(false);
-        }
-        let exec = match exec {
-            Ok(o) => o,
-            Err(e) => {
-                // Tear down this query's own objects; shared fragments
-                // stay for their other waiters.
-                for (node, sql) in &script.cleanup {
-                    let _ = cluster.execute(node.as_str(), sql);
-                }
-                release(w);
+        let (ctx, fkeys) = match w.plan_cache.get(&sub.sql) {
+            Some(cp) => {
+                report.plan_cache_hits += 1;
                 telemetry
                     .metrics
-                    .counter_add("xdb.queries", &[("status", "error")], 1.0);
-                return Err(e);
+                    .counter_add("session.plan_cache_hits", &[], 1.0);
+                (cp.replan(&sub.sql), cp.fragment_keys.clone())
+            }
+            None => {
+                let planned = self.xdb.plan_internal(&sub.sql)?;
+                report.consult_probes += planned.prep_probes + planned.ann_probes;
+                w.plan_cache.insert(
+                    sub.sql.clone(),
+                    CachedPlan {
+                        delegation: planned.ctx.delegation.clone(),
+                        // A warm replan answers every probe from the
+                        // consultation cache: no decision pays a consult.
+                        decisions: planned
+                            .ctx
+                            .decisions
+                            .iter()
+                            .map(|d| PlacementDecision {
+                                paid_consults: 0,
+                                ..d.clone()
+                            })
+                            .collect(),
+                        fragment_keys: planned.fragment_keys.clone(),
+                        lopt_ms: planned.lopt_ms,
+                        prep_probes: planned.prep_probes,
+                        ann_probes: planned.ann_probes,
+                    },
+                );
+                (planned.ctx, planned.fragment_keys)
             }
         };
-        let final_data = cluster.ledger.snapshot()[final_mark..].to_vec();
-        let fr_mark = cluster.ledger.len();
-        let enc = wire::measure(exec.relation.columns(), exec.relation.len());
-        cluster.ledger.record_wire(
-            &script.root_node,
-            self.xdb.client_node(),
-            exec.relation.wire_bytes(),
-            exec.relation.len() as u64,
-            Purpose::FinalResult,
-            &enc.stats(self.options.xdb.stream_chunk_rows),
-        );
-        // Register the freshly deployed fragments for later waiters.
-        let snapshot = cluster.ledger.snapshot();
-        let slice = |r: Option<&(usize, usize)>| -> Vec<Transfer> {
-            match r {
-                Some(&(a, b)) => snapshot[a..b].to_vec(),
-                None => Vec::new(),
-            }
-        };
-        // Per-task slices of the pruned execution's reports (steps of one
-        // task group are contiguous in script order).
-        let mut rep_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        for (i, step) in script.steps.iter().enumerate() {
-            rep_ranges
-                .entry(step.task)
-                .and_modify(|r| r.1 = i + 1)
-                .or_insert((i, i + 1));
+        *clock += ctx.overhead_ms;
+        ctx.collector.attr(ctx.query_span, "tenant", &sub.tenant);
+        let query_id = ctx.query_id;
+        let root_key = fkeys[&ctx.delegation.root].clone();
+        let reuse = w.claim(&ctx.delegation, &fkeys);
+        let full_fold = w.results.contains_key(&root_key);
+        let fold_hits = if full_fold {
+            ctx.delegation.tasks.len()
+        } else {
+            reuse.len()
+        } as u64;
+        if fold_hits > 0 {
+            report.fold_hits += fold_hits;
+            telemetry.metrics.counter_add(
+                "session.fold_hits",
+                &[("tenant", &sub.tenant)],
+                fold_hits as f64,
+            );
         }
-        let mut fresh = 0u64;
-        for id in delegation.topo_order() {
-            if reuse.contains_key(&id) {
-                continue;
+        let admitted = (|| {
+            // ---- Full fold: the whole plan is already materialized; fan
+            // the cached result out. The only fresh physical traffic is
+            // this waiter's own final-result transfer.
+            if let Some(cached) = w.results.get(&root_key) {
+                report.full_folds += 1;
+                telemetry
+                    .metrics
+                    .counter_add("session.full_folds", &[], 1.0);
+                let relation = cached.relation.clone();
+                let scope = ScopedCluster::new(cluster);
+                self.xdb
+                    .charge_final_result(&scope.ledger, &cached.root_node, &relation);
+                let own = scope.commit();
+                let exec_span = ctx.exec_span(cached.exec_ms);
+                let collector = &ctx.collector;
+                let fold = collector.span(
+                    SpanKind::Exec,
+                    "fold fan-out",
+                    cached.root_node.as_str(),
+                    Some(exec_span),
+                    ctx.overhead_ms,
+                    0.0,
+                );
+                collector.attr(fold, "fragments", fold_hits.to_string());
+                collector.attr(ctx.query_span, "fold", "full");
+                for (counter, v) in &cached.exec_counters {
+                    collector.add(counter, *v);
+                }
+                let (start, exec_ms) = (ctx.overhead_ms, cached.exec_ms);
+                self.xdb
+                    .emit_transfer_spans(collector, exec_span, &own, start, exec_ms);
+                collector.set_dur(ctx.query_span, start + exec_ms);
+                let mut attributed = cached.attributed.clone();
+                attributed.extend(own);
+                let rec = self.xdb.record(&sub.sql, ctx, &attributed, relation.len());
+                return Ok(Admitted {
+                    query_id,
+                    relation,
+                    rec,
+                    attributed,
+                    full_fold,
+                    fold_hits,
+                });
             }
-            let reports = match rep_ranges.get(&id) {
-                Some(&(a, b)) => step_reports[a..b].to_vec(),
-                None => Vec::new(),
+
+            // ---- Partial (or no) fold: deploy and execute only what no
+            // live fragment already serves, replaying the timeline over
+            // the full script of the same plan.
+            let script = build_script_with_reuse(&ctx.delegation, query_id, cluster, &reuse)?;
+            let solo = if reuse.is_empty() {
+                None
+            } else {
+                Some(build_script(&ctx.delegation, query_id, cluster)?)
             };
-            w.fragments.insert(
-                fkeys[&id].clone(),
-                Fragment {
-                    view: view_name(query_id, id),
-                    control: slice(control_ranges.get(&id)),
-                    data: slice(data_ranges.get(&id)),
-                    reports,
+            report.ddl_statements += script.steps.len() as u64;
+            let owners = (reuse.keys())
+                .map(|id| (*id, w.fragments[&fkeys[id]].steps.as_slice()))
+                .collect();
+            // Shared fragments outlive this query: its own objects are
+            // dropped at window close (or, on failure, by the execute
+            // stage).
+            let to_deploy = Deploy {
+                script: &script,
+                solo: solo.as_ref().unwrap_or(&script),
+                owners,
+                keep_objects: true,
+            };
+            let exec = self.xdb.execute(&ctx, &to_deploy)?;
+            // Register the freshly deployed fragments for later waiters.
+            let fresh: Vec<usize> = (ctx.delegation.topo_order().into_iter())
+                .filter(|id| !reuse.contains_key(id))
+                .collect();
+            for &id in &fresh {
+                let steps = (script.steps.iter().zip(&exec.steps))
+                    .filter(|(step, _)| step.task == id)
+                    .map(|(_, run)| run.clone())
+                    .collect();
+                let view = view_name(query_id, id);
+                let fragment = Fragment {
+                    view,
+                    steps,
                     refs: 0,
+                };
+                w.fragments.insert(fkeys[&id].clone(), fragment);
+            }
+            report.fragments_deployed += fresh.len() as u64;
+            telemetry
+                .metrics
+                .counter_add("session.fragments_deployed", &[], fresh.len() as f64);
+            // This tenant's attributed ledger view, in its own script
+            // order: all control messages (shared fragments' included),
+            // then all deployment data, then the final pipelined query's
+            // pulls and the final-result transfer.
+            let runs: Vec<&StepRun> = (ctx.delegation.topo_order().into_iter())
+                .flat_map(|id| &w.fragments[&fkeys[&id]].steps)
+                .collect();
+            let mut shared: Vec<Transfer> = runs.iter().flat_map(|r| r.control.clone()).collect();
+            shared.extend(runs.iter().flat_map(|r| r.data.clone()));
+            shared.extend_from_slice(&exec.transfers[exec.final_data.clone()]);
+            let mut attributed = shared.clone();
+            attributed.extend_from_slice(&exec.transfers[exec.final_data.end..]);
+
+            *clock += exec.exec_ms;
+            if fold_hits > 0 {
+                ctx.collector.attr(ctx.query_span, "fold", "partial");
+                let fold = ctx.collector.span(
+                    SpanKind::Exec,
+                    "fold reuse",
+                    "client",
+                    Some(exec.exec_span),
+                    ctx.overhead_ms,
+                    0.0,
+                );
+                ctx.collector.attr(fold, "fragments", fold_hits.to_string());
+            }
+            let rec = self
+                .xdb
+                .record(&sub.sql, ctx, &attributed, exec.relation.len());
+            let exec_counters = (rec.trace.counters.iter())
+                .filter(|(k, _)| k.starts_with("node.") || k.starts_with("exec."))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect();
+            w.results.insert(
+                root_key,
+                CachedResult {
+                    relation: exec.relation.clone(),
+                    exec_ms: exec.exec_ms,
+                    root_node: script.root_node.clone(),
+                    attributed: shared,
+                    exec_counters,
                 },
             );
-            fresh += 1;
-        }
-        report.fragments_deployed += fresh;
-        telemetry
-            .metrics
-            .counter_add("session.fragments_deployed", &[], fresh as f64);
-        // Assemble this tenant's attributed ledger view in its own script
-        // order: all control messages (shared fragments' included), then
-        // all deployment data, then the final pipelined query's pulls and
-        // the final-result transfer.
-        let mut attributed_control: Vec<Transfer> = Vec::new();
-        let mut attributed_data: Vec<Transfer> = Vec::new();
-        for id in delegation.topo_order() {
-            let f = &w.fragments[&fkeys[&id]];
-            attributed_control.extend(f.control.iter().cloned());
-            attributed_data.extend(f.data.iter().cloned());
-        }
-        attributed_data.extend(final_data.iter().cloned());
-        w.results.insert(
-            root_key,
-            CachedResult {
-                relation: exec.relation.clone(),
-                exec_ms: exec.exec_ms,
-                root_node: script.root_node.clone(),
-                attributed_control: attributed_control.clone(),
-                // Excludes this owner's final-result transfer: every
-                // fan-out waiter records (and is attributed) its own.
-                attributed_data: attributed_data.clone(),
-            },
-        );
-        let mut attributed = attributed_control;
-        attributed.extend(attributed_data);
-        attributed.extend(snapshot[fr_mark..].iter().cloned());
-        release(w);
-        w.cleanup.push(script.cleanup.clone());
-
-        *clock += exec.exec_ms;
-        if fold_hits > 0 {
-            collector.attr(query_span, "fold", "partial");
-            let fold = collector.span(
-                SpanKind::Exec,
-                "fold reuse",
-                "client",
-                Some(exec_span),
-                overhead_ms,
-                0.0,
-            );
-            collector.attr(fold, "fragments", fold_hits.to_string());
-        }
-        collector.set_dur(exec_span, exec.exec_ms);
-        collector.set_dur(query_span, overhead_ms + exec.exec_ms);
-        self.xdb.emit_transfer_spans(
-            &collector,
-            exec_span,
-            ledger_mark,
-            overhead_ms,
-            exec.exec_ms,
-        );
-        let trace = collector.finish();
-        let breakdown = PhaseBreakdown::from_trace(&trace);
-        telemetry
-            .metrics
-            .observe("xdb.phase_ms", &[("phase", "exec")], exec.exec_ms);
-        telemetry
-            .metrics
-            .observe("xdb.total_ms", &[], breakdown.total_ms());
-        telemetry
-            .metrics
-            .counter_add("xdb.queries", &[("status", "ok")], 1.0);
-        let latency = *clock - window_open;
-        self.note_completion(
-            &sub.tenant,
-            query_id,
-            latency,
-            if fold_hits > 0 { "partial" } else { "none" },
-        );
-        Ok(TenantOutcome {
-            tenant: sub.tenant.clone(),
-            index,
-            query_id,
-            relation: exec.relation,
-            breakdown,
-            trace,
-            full_fold: false,
-            fold_hits,
-            admitted_ms: window_open,
-            completed_ms: *clock,
-            latency_ms: latency,
-            attributed,
-        })
-    }
-
-    /// Per-query completion telemetry: a tenant-correlated event plus the
-    /// fleet latency histogram.
-    fn note_completion(&self, tenant: &str, query_id: u64, latency_ms: f64, fold: &str) {
-        let telemetry = self.xdb.cluster().telemetry();
-        telemetry
-            .metrics
-            .observe("session.latency_ms", &[], latency_ms);
-        let lat = format!("{latency_ms:.3}");
-        telemetry.events.log(
-            xdb_obs::Level::Info,
-            "core.session",
-            Some(query_id),
-            latency_ms,
-            "session query completed",
-            &[("tenant", tenant), ("fold", fold), ("latency_ms", &lat)],
-        );
+            w.deployed.push(script);
+            Ok(Admitted {
+                query_id,
+                relation: exec.relation,
+                rec,
+                attributed,
+                full_fold,
+                fold_hits,
+            })
+        })();
+        w.release(&reuse, &fkeys);
+        admitted
     }
 }
 
-/// The planning trace a plan-cache hit synthesizes: bit-identical phase
-/// durations and cache accounting to a real warm replan of the same query
-/// (all probes hit, so `prep` is the parse baseline and `ann` is free).
-fn synthetic_planning_trace(
-    sql: &str,
-    prep_probes: u64,
-    ann_probes: u64,
-    lopt_ms: f64,
-) -> (TraceCollector, SpanId, f64) {
-    let collector = TraceCollector::new();
-    let query_span = collector.span(SpanKind::Query, "query", "client", None, 0.0, 0.0);
-    collector.attr(query_span, "sql", sql);
-    let prep = collector.span(
-        SpanKind::Phase,
-        "prep",
-        "client",
-        Some(query_span),
-        0.0,
-        PREP_PARSE_MS,
-    );
-    collector.attr(prep, "plan_cache", "hit");
-    collector.span(
-        SpanKind::Phase,
-        "lopt",
-        "client",
-        Some(query_span),
-        PREP_PARSE_MS,
-        lopt_ms,
-    );
-    collector.span(
-        SpanKind::Phase,
-        "ann",
-        "client",
-        Some(query_span),
-        PREP_PARSE_MS + lopt_ms,
-        0.0,
-    );
-    collector.add("consults", 0.0);
-    collector.add("consult.cache_hits", (prep_probes + ann_probes) as f64);
-    collector.add("consult.cache_misses", 0.0);
-    let overhead = PREP_PARSE_MS + lopt_ms;
-    collector.set_dur(query_span, overhead);
-    (collector, query_span, overhead)
+impl CachedPlan {
+    /// The query context of a plan-cache hit: the cached plan under a
+    /// fresh query id, with the planning trace synthesized to be
+    /// bit-identical in phase durations and cache accounting to a real
+    /// warm replan of the same query (all probes hit, so `prep` is the
+    /// parse baseline and `ann` is free).
+    fn replan(&self, sql: &str) -> QueryCtx {
+        let collector = TraceCollector::new();
+        let query_span = collector.span(SpanKind::Query, "query", "client", None, 0.0, 0.0);
+        collector.attr(query_span, "sql", sql);
+        let prep = collector.span(
+            SpanKind::Phase,
+            "prep",
+            "client",
+            Some(query_span),
+            0.0,
+            PREP_PARSE_MS,
+        );
+        collector.attr(prep, "plan_cache", "hit");
+        collector.span(
+            SpanKind::Phase,
+            "lopt",
+            "client",
+            Some(query_span),
+            PREP_PARSE_MS,
+            self.lopt_ms,
+        );
+        collector.span(
+            SpanKind::Phase,
+            "ann",
+            "client",
+            Some(query_span),
+            PREP_PARSE_MS + self.lopt_ms,
+            0.0,
+        );
+        collector.add("consults", 0.0);
+        collector.add(
+            "consult.cache_hits",
+            (self.prep_probes + self.ann_probes) as f64,
+        );
+        collector.add("consult.cache_misses", 0.0);
+        let overhead_ms = PREP_PARSE_MS + self.lopt_ms;
+        collector.set_dur(query_span, overhead_ms);
+        QueryCtx {
+            delegation: self.delegation.clone(),
+            decisions: self.decisions.clone(),
+            collector,
+            query_span,
+            overhead_ms,
+            query_id: next_query_id(),
+        }
+    }
 }

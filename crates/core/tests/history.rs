@@ -6,17 +6,11 @@
 //! The process-global query id is the one field comparisons normalize,
 //! exactly as the trace/telemetry tests do.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_obs::{critical_path, Telemetry};
-
-/// Query-id decimal width leaks into control-message byte counts; pairs
-/// under comparison are serialized and retried until both ids have the
-/// same width (see the streaming/telemetry tests for the same pattern).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
@@ -54,11 +48,10 @@ fn normalize_ids(s: &str) -> String {
     out
 }
 
-/// One submission with the history sink on; returns the query id plus
-/// the full observable fingerprint: history records (JSON lines), the
-/// critical path (steps + rendered attribution), and the deterministic
-/// telemetry snapshot.
-fn run(chunk: usize, parallel: bool, partitions: usize) -> (u64, String) {
+/// One submission with the history sink on; returns the full observable
+/// fingerprint: history records (JSON lines), the critical path (steps +
+/// rendered attribution), and the deterministic telemetry snapshot.
+fn run(chunk: usize, parallel: bool, partitions: usize) -> String {
     let (cluster, catalog, telemetry) = setup();
     cluster.set_exec_partitions(partitions);
     telemetry.history.enable_memory();
@@ -78,18 +71,11 @@ fn run(chunk: usize, parallel: bool, partitions: usize) -> (u64, String) {
     }
     fp.push_str(&crit.render());
     fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
+    normalize_ids(&fp)
 }
 
 fn run_comparable_pair(a: (usize, bool, usize), b: (usize, bool, usize)) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(a.0, a.1, a.2);
-        let (idb, fb) = run(b.0, b.1, b.2);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    (run(a.0, a.1, a.2), run(b.0, b.1, b.2))
 }
 
 #[test]
@@ -120,7 +106,6 @@ fn history_identical_across_partitions_and_chunks() {
 
 #[test]
 fn history_record_carries_fingerprint_and_edges() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     telemetry.history.enable_memory();
     telemetry.history.set_label("example");
@@ -158,7 +143,6 @@ fn history_record_carries_fingerprint_and_edges() {
 
 #[test]
 fn report_appends_critical_path() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
@@ -169,7 +153,6 @@ fn report_appends_critical_path() {
 
 #[test]
 fn slow_query_log_carries_attribution() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     // Threshold 0: everything is slow.
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
@@ -206,29 +189,21 @@ fn slow_query_log_carries_attribution() {
 
 #[test]
 fn log_level_filter_does_not_perturb_deterministic_snapshot() {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let run_at = |level: xdb_obs::Level| {
-            let (cluster, catalog, telemetry) = setup();
-            telemetry.events.set_min_level(level);
-            let xdb = Xdb::new(&cluster, &catalog);
-            let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-            (
-                outcome.query_id,
-                normalize_ids(&telemetry.metrics.deterministic_snapshot().render()),
-                telemetry.events.len(),
-            )
-        };
-        let (id_info, snap_info, events_info) = run_at(xdb_obs::Level::Info);
-        let (id_err, snap_err, events_err) = run_at(xdb_obs::Level::Error);
-        if id_info.to_string().len() != id_err.to_string().len() {
-            continue;
-        }
-        // Filtering drops events at record time…
-        assert!(events_info > 0);
-        assert_eq!(events_err, 0);
-        // …without moving any deterministic metric.
-        assert_eq!(snap_info, snap_err);
-        break;
-    }
+    let run_at = |level: xdb_obs::Level| {
+        let (cluster, catalog, telemetry) = setup();
+        telemetry.events.set_min_level(level);
+        let xdb = Xdb::new(&cluster, &catalog);
+        xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+        (
+            normalize_ids(&telemetry.metrics.deterministic_snapshot().render()),
+            telemetry.events.len(),
+        )
+    };
+    let (snap_info, events_info) = run_at(xdb_obs::Level::Info);
+    let (snap_err, events_err) = run_at(xdb_obs::Level::Error);
+    // Filtering drops events at record time…
+    assert!(events_info > 0);
+    assert_eq!(events_err, 0);
+    // …without moving any deterministic metric.
+    assert_eq!(snap_info, snap_err);
 }

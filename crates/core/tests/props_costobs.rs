@@ -23,14 +23,8 @@ use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
 
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; pairs under comparison are
-/// serialized and retried until both ids have the same width (same
-/// pattern as the reactor and telemetry tests).
-static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
 /// One full TD1 submission under the given executor knobs; returns the
-/// query id and the serialized cost observation, after checking the
+/// serialized cost observation, after checking the
 /// run's exact-accounting invariants.
 fn run(
     q: TpchQuery,
@@ -38,7 +32,7 @@ fn run(
     partitions: usize,
     chunk: usize,
     parallel: bool,
-) -> (u64, String) {
+) -> String {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -82,24 +76,16 @@ fn run(
     assert_eq!(consult_total, outcome.cost.consult_ms, "{}", q.name());
     assert_eq!(consult_total, outcome.breakdown.ann_ms, "{}", q.name());
 
-    (outcome.query_id, outcome.cost.to_json())
+    outcome.cost.to_json()
 }
 
-/// Run the reference configuration and the sampled one back-to-back,
-/// retrying until both query ids render at the same decimal width.
+/// Run the reference configuration and the sampled one back-to-back.
 fn comparable_pair(
     q: TpchQuery,
     a: (usize, usize, usize, bool),
     b: (usize, usize, usize, bool),
 ) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(q, a.0, a.1, a.2, a.3);
-        let (idb, fb) = run(q, b.0, b.1, b.2, b.3);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    (run(q, a.0, a.1, a.2, a.3), run(q, b.0, b.1, b.2, b.3))
 }
 
 proptest! {

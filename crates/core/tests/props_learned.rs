@@ -18,10 +18,6 @@ use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
 
-/// Serialize submissions so the process-global query-id width matches
-/// within each compared pair (same pattern as the reactor tests).
-static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
 /// A fixed, hand-built profile store with strong per-direction asymmetry
 /// so the learned path actually reprices movement (and flips plans for
 /// some queries — the point is that the flip itself is deterministic).
@@ -66,15 +62,15 @@ fn normalize_ids(s: &str) -> String {
 }
 
 /// One full TD1 submission priced through the fixed profile store under
-/// the given executor knobs; returns the query id and the complete
-/// observable fingerprint of the run.
+/// the given executor knobs; returns the complete observable
+/// fingerprint of the run.
 fn run(
     q: TpchQuery,
     reactor_threads: usize,
     partitions: usize,
     chunk: usize,
     parallel: bool,
-) -> (u64, String) {
+) -> String {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -120,24 +116,16 @@ fn run(
             fp.push('\n');
         }
     }
-    (outcome.query_id, normalize_ids(&fp))
+    normalize_ids(&fp)
 }
 
-/// Run the reference configuration and the sampled one back-to-back,
-/// retrying until both query ids render at the same decimal width.
+/// Run the reference configuration and the sampled one back-to-back.
 fn comparable_pair(
     q: TpchQuery,
     a: (usize, usize, usize, bool),
     b: (usize, usize, usize, bool),
 ) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(q, a.0, a.1, a.2, a.3);
-        let (idb, fb) = run(q, b.0, b.1, b.2, b.3);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    (run(q, a.0, a.1, a.2, a.3), run(q, b.0, b.1, b.2, b.3))
 }
 
 proptest! {

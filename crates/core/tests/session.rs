@@ -3,23 +3,16 @@
 //! fanning the result out. Each tenant's result relation, as-if-alone
 //! phase breakdown, and attributed ledger view must be bit-identical to
 //! running the same query unfolded; shared fragments must be deployed
-//! exactly once and drained from every engine by window close; and
-//! concurrent admission must be indistinguishable from sequential
-//! admission of the same list.
+//! exactly once and drained from every engine by window close; and every
+//! admission must leave the same cost observation and history record as
+//! its unfolded twin.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, QueryServer, SessionOptions, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_obs::Telemetry;
-
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; arms under comparison are
-/// serialized and retried until every id has the same width (same pattern
-/// as the streaming and telemetry suites).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
@@ -29,13 +22,9 @@ fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     (cluster, catalog, telemetry)
 }
 
-fn same_width(ids: &[u64]) -> bool {
-    let w = ids[0].to_string().len();
-    ids.iter().all(|i| i.to_string().len() == w)
-}
-
 /// The per-tenant observable: result rows (bit-rendered, in order), the
-/// as-if-alone breakdown, and the attributed ledger view.
+/// as-if-alone breakdown, the attributed ledger view, and the cost
+/// observation joined against it.
 fn fingerprint(o: &TenantOutcome) -> String {
     let mut fp = String::new();
     for i in 0..o.relation.len() {
@@ -48,6 +37,7 @@ fn fingerprint(o: &TenantOutcome) -> String {
     for t in &o.attributed {
         fp.push_str(&format!("{t:?}\n"));
     }
+    fp.push_str(&format!("{:?}\n", o.cost));
     fp
 }
 
@@ -102,22 +92,9 @@ fn run_arm(subs: &[Submission], fold: bool, xdb: XdbOptions) -> Arm {
     }
 }
 
-/// Run both arms until every query id across them has the same decimal
-/// width, then hand them to the assertion body.
-fn with_width_matched_arms(subs: &[Submission], xdb: XdbOptions, check: impl Fn(&Arm, &Arm)) {
-    let _guard = SUBMIT_LOCK.lock();
-    for _ in 0..12 {
-        let folded = run_arm(subs, true, xdb.clone());
-        let unfolded = run_arm(subs, false, xdb.clone());
-        let mut ids: Vec<u64> = folded.report.outcomes.iter().map(|o| o.query_id).collect();
-        ids.extend(unfolded.report.outcomes.iter().map(|o| o.query_id));
-        if !same_width(&ids) {
-            continue;
-        }
-        check(&folded, &unfolded);
-        return;
-    }
-    panic!("query-id widths never aligned");
+/// Run the folded and the unfolded arm over the same submissions.
+fn arms(subs: &[Submission], xdb: XdbOptions) -> (Arm, Arm) {
+    (run_arm(subs, true, xdb.clone()), run_arm(subs, false, xdb))
 }
 
 proptest! {
@@ -132,161 +109,132 @@ proptest! {
         let chunk = [0usize, 256, 4096][pick];
         let subs = copies(scenario::EXAMPLE_QUERY, n);
         let xdb = XdbOptions { stream_chunk_rows: chunk, ..Default::default() };
-        with_width_matched_arms(&subs, xdb, |folded, unfolded| {
-            assert_eq!(folded.report.outcomes.len(), n);
-            for (f, u) in folded.report.outcomes.iter().zip(&unfolded.report.outcomes) {
-                assert_eq!(f.tenant, u.tenant);
-                assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
-            }
-            // One deployment, N-1 fan-outs: the folded run ships exactly
-            // one query's worth of DDLs, the unfolded run N times as many.
-            assert_eq!(folded.report.full_folds, n as u64 - 1);
-            assert!(folded.report.fragments_deployed > 0);
-            assert_eq!(
-                folded.report.ddl_statements * n as u64,
-                unfolded.report.ddl_statements
-            );
-            assert!(folded.total_bytes < unfolded.total_bytes);
-        });
+        let (folded, unfolded) = arms(&subs, xdb);
+        assert_eq!(folded.report.outcomes.len(), n);
+        for (f, u) in folded.report.outcomes.iter().zip(&unfolded.report.outcomes) {
+            assert_eq!(f.tenant, u.tenant);
+            assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
+        }
+        // One deployment, N-1 fan-outs: the folded run ships exactly
+        // one query's worth of DDLs, the unfolded run N times as many.
+        assert_eq!(folded.report.full_folds, n as u64 - 1);
+        assert!(folded.report.fragments_deployed > 0);
+        assert_eq!(
+            folded.report.ddl_statements * n as u64,
+            unfolded.report.ddl_statements
+        );
+        assert!(folded.total_bytes < unfolded.total_bytes);
     }
 }
 
 #[test]
 fn fold_deploys_fragments_once_and_consult_and_ddl_traffic_drop() {
     let subs = copies(scenario::EXAMPLE_QUERY, 5);
-    with_width_matched_arms(&subs, XdbOptions::default(), |folded, unfolded| {
-        let fr = &folded.report;
-        let ur = &unfolded.report;
-        // Every copy after the first folds completely.
-        assert_eq!(fr.full_folds, 4);
-        assert_eq!(fr.plan_cache_hits, 4);
-        // Each shared fragment was deployed exactly once (EXAMPLE_QUERY's
-        // plan has 3 tasks): the folded run shipped exactly the DDLs of
-        // one deployment, the unfolded run five times as many.
-        assert_eq!(fr.fragments_deployed, 3);
-        assert_eq!(fr.ddl_statements * 5, ur.ddl_statements);
-        // Consultation probes collapse to the cold plan's.
-        assert!(fr.consult_probes < ur.consult_probes);
-        assert_eq!(fr.consult_probes * 5, ur.consult_probes);
-        // Per-tenant equivalence still holds.
-        for (f, u) in fr.outcomes.iter().zip(&ur.outcomes) {
-            assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
-        }
-        // Folding strictly reduces physical bytes moved.
-        assert!(folded.total_bytes < unfolded.total_bytes);
-        // Shared fragments drained: every engine's live-object gauge is
-        // back at its pre-run baseline (and something was deployed).
-        assert_eq!(folded.baseline_live, folded.final_live);
-        let peak = folded
-            .final_live
-            .iter()
-            .map(|(n, _)| {
-                folded
-                    .telemetry
-                    .metrics
-                    .high_water("ddl.objects_live", &[("engine", n)])
-            })
-            .fold(0.0f64, f64::max);
-        let base = folded
-            .baseline_live
-            .iter()
-            .map(|(_, v)| *v)
-            .fold(0.0f64, f64::max);
-        assert!(peak > base, "no delegation objects were ever deployed");
-    });
+    let (folded, unfolded) = arms(&subs, XdbOptions::default());
+    let fr = &folded.report;
+    let ur = &unfolded.report;
+    // Every copy after the first folds completely.
+    assert_eq!(fr.full_folds, 4);
+    assert_eq!(fr.plan_cache_hits, 4);
+    // Each shared fragment was deployed exactly once (EXAMPLE_QUERY's
+    // plan has 3 tasks): the folded run shipped exactly the DDLs of
+    // one deployment, the unfolded run five times as many.
+    assert_eq!(fr.fragments_deployed, 3);
+    assert_eq!(fr.ddl_statements * 5, ur.ddl_statements);
+    // Consultation probes collapse to the cold plan's.
+    assert!(fr.consult_probes < ur.consult_probes);
+    assert_eq!(fr.consult_probes * 5, ur.consult_probes);
+    // Per-tenant equivalence still holds.
+    for (f, u) in fr.outcomes.iter().zip(&ur.outcomes) {
+        assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
+    }
+    // Folding strictly reduces physical bytes moved.
+    assert!(folded.total_bytes < unfolded.total_bytes);
+    // Shared fragments drained: every engine's live-object gauge is
+    // back at its pre-run baseline (and something was deployed).
+    assert_eq!(folded.baseline_live, folded.final_live);
+    let peak = folded
+        .final_live
+        .iter()
+        .map(|(n, _)| {
+            folded
+                .telemetry
+                .metrics
+                .high_water("ddl.objects_live", &[("engine", n)])
+        })
+        .fold(0.0f64, f64::max);
+    let base = folded
+        .baseline_live
+        .iter()
+        .map(|(_, v)| *v)
+        .fold(0.0f64, f64::max);
+    assert!(peak > base, "no delegation objects were ever deployed");
 }
 
-#[test]
-fn concurrent_admission_matches_sequential() {
-    let _guard = SUBMIT_LOCK.lock();
-    let subs = copies(scenario::EXAMPLE_QUERY, 6);
-    for _ in 0..12 {
-        let seq = {
-            let (cluster, catalog, telemetry) = setup();
-            let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
-            let report = server.run(&subs).unwrap();
-            let snap = telemetry.metrics.deterministic_snapshot().render();
-            let fps: Vec<String> = report.outcomes.iter().map(fingerprint).collect();
-            let ids: Vec<u64> = report.outcomes.iter().map(|o| o.query_id).collect();
-            (ids, fps, snap, report.makespan_ms)
-        };
-        let conc = {
-            let (cluster, catalog, telemetry) = setup();
-            let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
-            let report = server.run_concurrent(&subs, 4).unwrap();
-            let snap = telemetry.metrics.deterministic_snapshot().render();
-            let fps: Vec<String> = report.outcomes.iter().map(fingerprint).collect();
-            let ids: Vec<u64> = report.outcomes.iter().map(|o| o.query_id).collect();
-            (ids, fps, snap, report.makespan_ms)
-        };
-        let mut ids = seq.0.clone();
-        ids.extend(&conc.0);
-        if !same_width(&ids) {
-            continue;
-        }
-        assert_eq!(seq.1, conc.1, "per-tenant observables diverged");
-        assert_eq!(
-            normalize_ids(&seq.2),
-            normalize_ids(&conc.2),
-            "deterministic snapshots diverged"
-        );
-        assert_eq!(seq.3, conc.3, "makespans diverged");
-        return;
-    }
-    panic!("query-id widths never aligned");
-}
-
-/// Replace every decimal run after `xdb_q` / `"query":` with `N` so runs
-/// with different global query ids compare equal byte-for-byte.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
+/// A query sharing EXAMPLE_QUERY's joins and pruned columns but not its
+/// root aggregate: its non-root fragments fold, its root does not.
+fn partial_variant() -> String {
+    scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1)
 }
 
 #[test]
 fn partial_fold_reuses_shared_prefix() {
-    // Same joins, same pruned columns, different root aggregate: the
-    // non-root fragments are shared, the root is not.
-    let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
     let subs = vec![
         Submission::new("tenant-a", scenario::EXAMPLE_QUERY),
-        Submission::new("tenant-b", variant),
+        Submission::new("tenant-b", partial_variant()),
     ];
-    with_width_matched_arms(&subs, XdbOptions::default(), |folded, unfolded| {
-        let fr = &folded.report;
-        assert_eq!(fr.full_folds, 0, "distinct roots must not fully fold");
-        assert!(
-            fr.fold_hits > 0,
-            "shared non-root fragments were not folded"
+    let (folded, unfolded) = arms(&subs, XdbOptions::default());
+    let fr = &folded.report;
+    assert_eq!(fr.full_folds, 0, "distinct roots must not fully fold");
+    assert!(
+        fr.fold_hits > 0,
+        "shared non-root fragments were not folded"
+    );
+    assert!(fr.ddl_statements < unfolded.report.ddl_statements);
+    for (f, u) in fr.outcomes.iter().zip(&unfolded.report.outcomes) {
+        assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
+    }
+}
+
+#[test]
+fn every_admission_records_its_unfolded_history() {
+    // A window of N copies (one deployment, N-1 full folds) plus one
+    // partial fold: every admission appends exactly one history record,
+    // and each equals its unfolded twin's in plan, edges and cost.
+    let n = 3;
+    let mut subs = copies(scenario::EXAMPLE_QUERY, n);
+    subs.push(Submission::new("tenant-p", partial_variant()));
+    let history = |fold: bool| {
+        let (cluster, catalog, telemetry) = setup();
+        telemetry.history.enable_memory();
+        let server = QueryServer::new(
+            &cluster,
+            &catalog,
+            SessionOptions {
+                fold,
+                ..Default::default()
+            },
         );
-        assert!(fr.ddl_statements < unfolded.report.ddl_statements);
-        for (f, u) in fr.outcomes.iter().zip(&unfolded.report.outcomes) {
-            assert_eq!(fingerprint(f), fingerprint(u), "tenant {}", f.tenant);
-        }
-    });
+        let report = server.run(&subs).unwrap();
+        (report, telemetry.history.records())
+    };
+    let (folded, folded_records) = history(true);
+    let (_, unfolded_records) = history(false);
+    assert_eq!(folded.full_folds, n as u64 - 1);
+    assert!(folded.outcomes[n].fold_hits > 0 && !folded.outcomes[n].full_fold);
+    assert_eq!(folded_records.len(), subs.len());
+    assert_eq!(unfolded_records.len(), subs.len());
+    for (i, (f, u)) in folded_records.iter().zip(&unfolded_records).enumerate() {
+        assert_eq!(f.fingerprint, u.fingerprint, "admission {i}");
+        assert_eq!(f.edges, u.edges, "admission {i}");
+        assert_eq!(f.cost, u.cost, "admission {i}");
+        assert!(!f.cost.is_empty(), "admission {i} observed nothing");
+        assert_eq!(f.query_id, folded.outcomes[i].query_id);
+    }
 }
 
 #[test]
 fn windows_scope_folding_state() {
-    let _guard = SUBMIT_LOCK.lock();
     let subs = copies(scenario::EXAMPLE_QUERY, 4);
     let (cluster, catalog, _telemetry) = setup();
     let server = QueryServer::new(

@@ -4,18 +4,11 @@
 //! snapshot must be bit-identical across chunk sizes (1 row, the default
 //! 4096, unbounded) and across the sequential and parallel executors.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_obs::Telemetry;
-
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; pairs under comparison are
-/// serialized and retried until both ids have the same width (see the
-/// telemetry tests for the same pattern).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
@@ -51,8 +44,8 @@ fn normalize_ids(s: &str) -> String {
 }
 
 /// One full submission at the given transport chunk size; returns the
-/// query id and the complete observable fingerprint of the run.
-fn run(chunk: usize, parallel: bool) -> (u64, String) {
+/// complete observable fingerprint of the run.
+fn run(chunk: usize, parallel: bool) -> String {
     let (cluster, catalog, telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
         parallel_execution: parallel,
@@ -77,18 +70,11 @@ fn run(chunk: usize, parallel: bool) -> (u64, String) {
     // Trace and deterministic telemetry.
     fp.push_str(&outcome.trace.canonical());
     fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
+    normalize_ids(&fp)
 }
 
 fn run_comparable_pair(a: (usize, bool), b: (usize, bool)) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(a.0, a.1);
-        let (idb, fb) = run(b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    (run(a.0, a.1), run(b.0, b.1))
 }
 
 #[test]
@@ -116,7 +102,6 @@ fn streaming_identical_sequential_vs_parallel() {
 
 #[test]
 fn encoded_bytes_never_exceed_raw() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     xdb.submit(scenario::EXAMPLE_QUERY).unwrap();

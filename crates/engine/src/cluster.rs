@@ -16,7 +16,7 @@ use crate::relation::Relation;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xdb_net::{reactor, wire, Ledger, NodeId, Topology};
+use xdb_net::{reactor, wire, Ledger, NodeId, Topology, Transfer};
 use xdb_obs::{ExecProfile, Telemetry};
 
 /// A set of named engines plus network fabric and transfer accounting.
@@ -439,11 +439,13 @@ impl Remote for Cluster {
 /// A view of a [`Cluster`] that records transfers into a private scratch
 /// ledger instead of the shared one.
 ///
-/// The parallel executor gives each concurrently-running task group its
-/// own `ScopedCluster`; after the barrier the scratch ledgers are
-/// [`Ledger::absorb`]ed into the cluster ledger in script order, so the
-/// merged record sequence is identical to a sequential run no matter how
-/// the groups interleaved in real time.
+/// Every submission runs inside its own `ScopedCluster`, so a query's
+/// records are exactly its own however many queries share the cluster;
+/// the scope is absorbed into the cluster ledger once, by
+/// [`ScopedCluster::commit`]. The parallel executor additionally gives
+/// each concurrently-running task group a scope of its own and absorbs
+/// those in script order, so the merged record sequence is identical to a
+/// sequential run no matter how the groups interleaved in real time.
 pub struct ScopedCluster<'a> {
     cluster: &'a Cluster,
     /// Scratch ledger; transfers triggered by this scope land here.
@@ -465,6 +467,27 @@ impl<'a> ScopedCluster<'a> {
     /// transfers into this scope's ledger.
     pub fn execute(&self, node: &str, sql: &str) -> Result<StatementOutcome> {
         self.cluster.engine(node)?.execute_sql_at(sql, self, 0)
+    }
+
+    /// [`Cluster::query`] inside this scope.
+    pub fn query(&self, node: &str, sql: &str) -> Result<(Relation, ExecReport)> {
+        let out = self.execute(node, sql)?;
+        let rel = out
+            .relation
+            .ok_or_else(|| EngineError::Execution("statement returned no rows".into()))?;
+        Ok((rel, out.report))
+    }
+
+    /// The cluster this scope records for.
+    pub fn cluster(&self) -> &'a Cluster {
+        self.cluster
+    }
+
+    /// Close the scope: append its records to the cluster ledger and hand
+    /// them back, in recording order.
+    pub fn commit(self) -> Vec<Transfer> {
+        self.cluster.ledger.absorb(&self.ledger);
+        self.ledger.snapshot()
     }
 }
 

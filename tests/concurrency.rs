@@ -4,9 +4,11 @@
 //! all hold up.
 
 use std::sync::Arc;
-use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb::core::annotate::plan_fingerprint;
+use xdb::core::{GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
 use xdb::engine::profile::EngineProfile;
 use xdb::net::Scenario;
+use xdb::obs::SpanKind;
 use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
@@ -186,10 +188,36 @@ fn partitioned_kernels_match_sequential_under_the_parallel_scheduler() {
     }
 }
 
+/// Everything one submission reports about itself that must not depend
+/// on what else runs on the federation: plan fingerprint, phase
+/// breakdown, cost observation, Transfer spans, and its own ledger
+/// records.
+fn observables(outcome: &QueryOutcome) -> String {
+    let mut fp = format!(
+        "{}\n{:?}\n{:?}\n",
+        plan_fingerprint(&outcome.delegation),
+        outcome.breakdown,
+        outcome.cost
+    );
+    for span in outcome.trace.spans_of(SpanKind::Transfer) {
+        fp.push_str(&format!(
+            "{} {} {} {} {:?}\n",
+            span.name, span.lane, span.start_ms, span.dur_ms, span.attrs
+        ));
+    }
+    for t in &outcome.transfers {
+        fp.push_str(&format!("{t:?}\n"));
+    }
+    fp
+}
+
 #[test]
 fn one_client_is_safe_across_threads_too() {
     // A single Xdb instance (one shared query-id counter) used from many
-    // threads must still hand out unique object names.
+    // threads must still hand out unique object names — and every
+    // submission must report exactly what it reports running alone: its
+    // plan, breakdown, cost observation, Transfer spans and ledger
+    // records are its own, never polluted by concurrent queries.
     let cluster = Arc::new(
         build_cluster(
             TableDist::Td1,
@@ -200,13 +228,37 @@ fn one_client_is_safe_across_threads_too() {
         .unwrap(),
     );
     let catalog = Arc::new(GlobalCatalog::discover(&cluster).unwrap());
-    let xdb = Xdb::new(&cluster, &catalog);
+    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
+        freeze_profiles: true,
+        ..Default::default()
+    });
+    // One warm-up round fills the consultation cache; the warm solo run
+    // after it is the reference.
+    for q in TpchQuery::ALL {
+        xdb.submit(q.sql()).unwrap();
+    }
+    let solo: Vec<String> = TpchQuery::ALL
+        .iter()
+        .map(|q| observables(&xdb.submit(q.sql()).unwrap()))
+        .collect();
     std::thread::scope(|s| {
-        for _ in 0..4 {
-            let xdb = &xdb;
+        for t in 0..4 {
+            let (xdb, solo) = (&xdb, &solo);
             s.spawn(move || {
-                for _ in 0..3 {
-                    xdb.submit(TpchQuery::Q3.sql()).unwrap();
+                for round in 0..3 {
+                    // Rotate the query order per thread and round so
+                    // different queries overlap.
+                    for i in 0..TpchQuery::ALL.len() {
+                        let qi = (i + t + round) % TpchQuery::ALL.len();
+                        let q = TpchQuery::ALL[qi];
+                        let outcome = xdb.submit(q.sql()).unwrap();
+                        assert_eq!(
+                            observables(&outcome),
+                            solo[qi],
+                            "{} (thread {t}, round {round}) diverged from its solo run",
+                            q.name()
+                        );
+                    }
                 }
             });
         }

@@ -2,12 +2,16 @@
 //! for the delegation engine, across all evaluated queries and table
 //! distributions.
 
-use xdb::core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
+use std::sync::Arc;
+use xdb::core::annotate::{fragment_keys, AnnotateOptions, Annotator, PlacementPolicy};
+use xdb::core::delegation::DdlKind;
 use xdb::core::plan::DelegationPlan;
-use xdb::core::{GlobalCatalog, Xdb};
+use xdb::core::{GlobalCatalog, QueryServer, SessionOptions, Submission, Xdb};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
+use xdb::engine::EngineError;
 use xdb::net::Scenario;
+use xdb::obs::Telemetry;
 use xdb::sql::algebra::LogicalPlan;
 use xdb::sql::bind::bind_select;
 use xdb::sql::optimize::{optimize, OptimizeOptions};
@@ -39,7 +43,6 @@ fn annotate(
 ) -> DelegationPlan {
     let bound = bind_select(&parse_select(sql).unwrap(), catalog).unwrap();
     let optimized = optimize(bound, catalog, OptimizeOptions::default());
-    catalog.clear_placeholders();
     Annotator::new(catalog, cluster, options)
         .run(&optimized)
         .unwrap()
@@ -159,7 +162,9 @@ fn mediator_policy_produces_mw_shape() {
 
 /// Failure injection: a name collision makes a delegation DDL fail
 /// mid-deployment; submit must return the error and leave no short-lived
-/// objects behind.
+/// objects behind. The folded arm squats, in turn, every object a
+/// partially folded admission deploys itself: the window must return the
+/// typed error and drain every engine back to its pre-window baseline.
 #[test]
 fn failed_delegation_cleans_up() {
     let (cluster, catalog) = federation(TableDist::Td1);
@@ -216,6 +221,105 @@ fn failed_delegation_cleans_up() {
             .unwrap();
     }
     xdb.submit(TpchQuery::Q3.sql()).unwrap();
+
+    folded_failure_cleans_up();
+}
+
+/// The name an object-creating DDL statement creates.
+fn created_object(sql: &str) -> String {
+    let words: Vec<&str> = sql.split_whitespace().collect();
+    let at = words
+        .iter()
+        .position(|w| w.eq_ignore_ascii_case("view") || w.eq_ignore_ascii_case("table"))
+        .unwrap();
+    words[at + 1].trim_end_matches('(').to_string()
+}
+
+fn folded_failure_cleans_up() {
+    let (mut cluster, mut catalog) = federation(TableDist::Td1);
+    let telemetry = Telemetry::new_handle();
+    cluster.set_telemetry(Arc::clone(&telemetry));
+    catalog.set_telemetry(Arc::clone(&telemetry));
+    let xdb = Xdb::new(&cluster, &catalog);
+    // Q3 deploys every fragment; the variant shares all but the root
+    // (another LIMIT), so it folds partially and deploys only the rest.
+    let variant = TpchQuery::Q3.sql().replace("limit 10", "limit 5");
+    let subs = [
+        Submission::new("tenant-a", TpchQuery::Q3.sql()),
+        Submission::new("tenant-b", variant.as_str()),
+    ];
+    let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
+    let report = server.run(&subs).unwrap();
+    assert!(report.outcomes[1].fold_hits > 0 && !report.outcomes[1].full_fold);
+    // The variant's own objects: the steps of every task no Q3 fragment
+    // serves, named under the variant's query id.
+    let (q3_plan, ..) = xdb.plan(TpchQuery::Q3.sql()).unwrap();
+    let shared: Vec<String> = fragment_keys(&q3_plan).into_values().collect();
+    let (plan, script, ..) = xdb.plan(&variant).unwrap();
+    let keys = fragment_keys(&plan);
+    let own: Vec<(String, String, DdlKind)> = script
+        .steps
+        .iter()
+        .filter(|s| !shared.contains(&keys[&s.task]))
+        .map(|s| (s.node.as_str().to_string(), created_object(&s.sql), s.kind))
+        .collect();
+    assert!(!own.is_empty() && own.len() < script.steps.len());
+    let id_part = |id: u64| format!("_q{id:020}_");
+    let live = || -> Vec<f64> {
+        xdb::tpch::NODES
+            .iter()
+            .map(|n| {
+                telemetry
+                    .metrics
+                    .value("ddl.objects_live", &[("engine", n)])
+            })
+            .collect()
+    };
+    for (node, object, kind) in &own {
+        // Squat with another kind than the object, so the admission's
+        // own cleanup (`DROP <kind> IF EXISTS`) leaves the squatter be.
+        let squat = |name: &str| match kind {
+            DdlKind::Materialize => format!("CREATE VIEW {name} AS SELECT 1 AS x"),
+            _ => format!("CREATE TABLE {name} (x BIGINT)"),
+        };
+        let unsquat = |name: &str| match kind {
+            DdlKind::Materialize => format!("DROP VIEW {name}"),
+            _ => format!("DROP TABLE {name}"),
+        };
+        // Ids are process-global and other tests draw them too: squat a
+        // range starting past the id Q3 will take. Should a concurrent
+        // draw shift Q3 into the range, Q3 fails instead; try again.
+        let mut injected = false;
+        for _ in 0..8 {
+            let (_, probe, ..) = xdb.plan(TpchQuery::Q3.sql()).unwrap();
+            let names: Vec<String> = (2..=9)
+                .map(|d| object.replace(&id_part(script.query_id), &id_part(probe.query_id + d)))
+                .collect();
+            for name in &names {
+                cluster.execute(node, &squat(name)).unwrap();
+            }
+            let baseline = live();
+            let events_before = telemetry.events.len();
+            let err = server
+                .run(&subs)
+                .expect_err("squatted deployment must fail");
+            assert_eq!(live(), baseline, "window left objects behind ({object})");
+            for name in &names {
+                cluster.execute(node, &unsquat(name)).unwrap();
+            }
+            let q3_completed = telemetry.events.snapshot()[events_before..]
+                .iter()
+                .any(|e| e.message == "session query completed");
+            if q3_completed {
+                assert!(matches!(err, EngineError::Catalog(_)), "{object}: {err:?}");
+                injected = true;
+                break;
+            }
+        }
+        assert!(injected, "never injected a failure into {object}");
+    }
+    // Without obstructions the window runs again.
+    server.run(&subs).unwrap();
 }
 
 /// Dead connector mid-execution: queries against a vanished server fail
